@@ -26,15 +26,33 @@ func (s *state) vertBalance() {
 	// shapes the attraction weights, ramping movement freedom down as
 	// iterations progress (the paper's X/Y schedule).
 	capMult := float64(g.Comm.Size())
+	scans := newPartScans(threads, s.p)
 
 	for iter := 0; iter < s.opt.Ibal; iter++ {
 		maxV := maxOf(s.sv, s.imbV)
 		mult := s.mult()
 		queues := par.NewQueues[dgraph.Update](threads)
 		s.beginExchange(s.roundTallyLen(false))
+		// weight is the attraction of part i, 0 for a part at its cap.
+		weight := func(i int32) float64 {
+			cvi := float64(atomic.LoadInt64(&s.cv[i]))
+			if float64(s.sv[i])+capMult*cvi+1 > maxV {
+				return 0
+			}
+			est := float64(s.sv[i]) + mult*cvi
+			if est < 1 {
+				est = 1
+			}
+			w := idealV/est - 1
+			if w < 0 {
+				w = 0
+			}
+			return w
+		}
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]float64, s.p)
+			ps := &scans[tid]
+			counts := ps.counts
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
 				x := s.loadPart(v)
@@ -46,35 +64,20 @@ func (s *state) vertBalance() {
 				if estX <= idealV {
 					continue
 				}
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)] += float64(g.Degrees[u])
-				}
-				// Apply caps and weights.
-				for i := 0; i < s.p; i++ {
-					cvi := float64(atomic.LoadInt64(&s.cv[i]))
-					if float64(s.sv[i])+capMult*cvi+1 > maxV {
-						counts[i] = 0
+				// Weigh only the parts v's neighbours touch, clearing
+				// their counts for the next vertex; a part with no
+				// neighbours scores 0 and cannot win (see "Per-vertex
+				// cost" in the package documentation).
+				cand := ps.tallyDegrees(s, v)
+				w, best := x, float64(counts[x])*weight(x)
+				for _, i := range cand {
+					c := counts[i]
+					if c == 0 {
 						continue
 					}
-					est := float64(s.sv[i]) + mult*cvi
-					if est < 1 {
-						est = 1
-					}
-					w := idealV/est - 1
-					if w < 0 {
-						w = 0
-					}
-					counts[i] *= w
-				}
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] > best {
-						best = counts[i]
-						w = int32(i)
+					counts[i] = 0
+					if f := float64(c) * weight(i); better(f, best, i, w, x) {
+						best, w = f, i
 					}
 				}
 				if w == x || best <= 0 {
@@ -133,26 +136,26 @@ func (s *state) vertRefine() {
 	// keeps interiors), so an early-schedule overshoot here would
 	// persist to the final partition.
 	mult := float64(g.Comm.Size())
+	scans := newPartScans(threads, s.p)
 
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		queues := par.NewQueues[dgraph.Update](threads)
 		s.beginExchange(s.roundTallyLen(false))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]int64, s.p)
+			ps := &scans[tid]
+			counts := ps.counts
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)]++
-				}
+				// Scan only the parts v's neighbours touch, clearing
+				// their counts for the next vertex, as in vertBalance.
+				cand := ps.tally(s, v)
 				x := s.loadPart(v)
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] <= best {
+				w, best := x, counts[x]
+				for _, i := range cand {
+					c := counts[i]
+					counts[i] = 0
+					if !better(c, best, i, w, x) {
 						continue
 					}
 					// A move may not push the receiving part above the
@@ -162,8 +165,7 @@ func (s *state) vertRefine() {
 					if est+1 > s.imbV {
 						continue
 					}
-					best = counts[i]
-					w = int32(i)
+					best, w = c, i
 				}
 				if w != x {
 					atomic.AddInt64(&s.cv[x], -1)

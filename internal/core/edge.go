@@ -45,6 +45,8 @@ func (s *state) edgeBalance() {
 	re, rc := 1.0, 1.0
 	// Hard receiver caps use the worst-case multiplier; see vertBalance.
 	capMult := float64(g.Comm.Size())
+	scans := newPartScans(threads, s.p)
+	var bound loadBound
 
 	for iter := 0; iter < s.opt.Ibal; iter++ {
 		maxC := maxOf(s.sc, 1)
@@ -61,9 +63,40 @@ func (s *state) edgeBalance() {
 		}
 		queues := par.NewQueues[dgraph.Update](threads)
 		s.beginExchange(s.roundTallyLen(true))
+		bound.recompute(s)
+		// weight is the attraction of part i for a vertex of degree dv,
+		// 0 for a part at its cap. Receivers are capped at the vertex
+		// and edge targets so the balance achieved by earlier stages
+		// cannot be destroyed here.
+		weight := func(i int32, dv float64) float64 {
+			cvi := float64(atomic.LoadInt64(&s.cv[i]))
+			cei := float64(atomic.LoadInt64(&s.ce[i]))
+			if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
+				float64(s.se[i])+capMult*cei+dv > s.imbE {
+				return 0
+			}
+			estE := float64(s.se[i]) + mult*cei
+			estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
+			if estE < 1 {
+				estE = 1
+			}
+			if estC < 1 {
+				estC = 1
+			}
+			we := s.imbE/estE - 1
+			if we < 0 {
+				we = 0
+			}
+			wc := maxC/estC - 1
+			if wc < 0 {
+				wc = 0
+			}
+			return re*we + rc*wc
+		}
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]float64, s.p)
+			ps := &scans[tid]
+			counts := ps.counts
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
 				x := s.loadPart(v)
@@ -77,106 +110,34 @@ func (s *state) edgeBalance() {
 				if !overE && !overC {
 					continue
 				}
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)] += float64(g.Degrees[u])
-				}
+				cand := ps.tallyDegrees(s, v)
 				dv := float64(g.Degree(v))
-				for i := 0; i < s.p; i++ {
-					cvi := float64(atomic.LoadInt64(&s.cv[i]))
-					cei := float64(atomic.LoadInt64(&s.ce[i]))
-					// Receivers are capped at the vertex and edge
-					// targets so the balance achieved by earlier stages
-					// cannot be destroyed here.
-					if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
-						float64(s.se[i])+capMult*cei+dv > s.imbE {
-						counts[i] = 0
+				w, best := x, float64(counts[x])*weight(x, dv)
+				for _, i := range cand {
+					c := counts[i]
+					if c == 0 {
 						continue
 					}
-					estE := float64(s.se[i]) + mult*cei
-					estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
-					if estE < 1 {
-						estE = 1
-					}
-					if estC < 1 {
-						estC = 1
-					}
-					we := s.imbE/estE - 1
-					if we < 0 {
-						we = 0
-					}
-					wc := maxC/estC - 1
-					if wc < 0 {
-						wc = 0
-					}
-					counts[i] *= re*we + rc*wc
-				}
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] > best {
-						best = counts[i]
-						w = int32(i)
+					counts[i] = 0
+					if f := float64(c) * weight(i, dv); better(f, best, i, w, x) {
+						best, w = f, i
 					}
 				}
 				if (w == x || best <= 0) && overE {
 					// No weighted neighbor candidate: teleport toward
-					// the most edge-underweight part that can take v.
+					// the most edge-underweight part that can take v,
+					// else take a strictly balance-improving move —
+					// unless the load bound proves both scans empty.
 					w = x
-					bestW := 0.0
-					for i := 0; i < s.p; i++ {
-						if int32(i) == x {
-							continue
-						}
-						cvi := float64(atomic.LoadInt64(&s.cv[i]))
-						cei := float64(atomic.LoadInt64(&s.ce[i]))
-						if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
-							float64(s.se[i])+capMult*cei+dv > s.imbE {
-							continue
-						}
-						estE := float64(s.se[i]) + mult*cei
-						if estE < 1 {
-							estE = 1
-						}
-						if we := s.imbE/estE - 1; we > bestW {
-							bestW = we
-							w = int32(i)
-						}
-					}
-				}
-				if w == x && overE {
-					// Still stuck: every candidate receiver is at the
-					// edge target. This happens when hub degrees are
-					// comparable to (or above) the target itself,
-					// making the constraint locally infeasible. Take a
-					// strictly balance-improving move instead: a part
-					// that stays well below the donor even after
-					// receiving v (estE + 2·deg(v) ≤ estX prevents
-					// ping-ponging). The scan starts at a
-					// vertex-dependent rotation so concurrent hub
-					// evictions spread over distinct receivers instead
-					// of all piling onto the single lightest part.
-					start := int(uint64(g.L2G[v]) % uint64(s.p))
-					for k := 0; k < s.p; k++ {
-						i := (start + k) % s.p
-						if int32(i) == x {
-							continue
-						}
-						cvi := float64(atomic.LoadInt64(&s.cv[i]))
-						if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
-							continue
-						}
-						estE := float64(s.se[i]) + capMult*float64(atomic.LoadInt64(&s.ce[i]))
-						if estE+2*dv <= estEx && estE <= s.imbE {
-							w = int32(i)
-							break
+					if !bound.noReceiver(s, dv, estEx) {
+						if w = s.teleport(v, x, dv, mult); w == x {
+							w = s.rotate(v, x, dv, estEx)
 						}
 					}
 				}
 				if w != x {
 					s.moveEdgeDeltas(v, x, w)
+					bound.lower(s.load(int(x)))
 					s.storePart(v, w)
 					queues.Push(tid, dgraph.Update{LID: v, Value: w})
 				}
@@ -187,6 +148,62 @@ func (s *state) edgeBalance() {
 		s.trace("ebal", mult, moved)
 		s.iterTot++
 	}
+}
+
+// teleport returns the most edge-underweight part other than x that
+// can take v (degree dv) under the vertex and edge caps, or x if none.
+func (s *state) teleport(v, x int32, dv, mult float64) int32 {
+	capMult := float64(s.g.Comm.Size())
+	w := x
+	bestW := 0.0
+	for i := 0; i < s.p; i++ {
+		if int32(i) == x {
+			continue
+		}
+		cvi := float64(atomic.LoadInt64(&s.cv[i]))
+		cei := float64(atomic.LoadInt64(&s.ce[i]))
+		if float64(s.sv[i])+capMult*cvi+1 > s.imbV ||
+			float64(s.se[i])+capMult*cei+dv > s.imbE {
+			continue
+		}
+		estE := float64(s.se[i]) + mult*cei
+		if estE < 1 {
+			estE = 1
+		}
+		if we := s.imbE/estE - 1; we > bestW {
+			bestW = we
+			w = int32(i)
+		}
+	}
+	return w
+}
+
+// rotate handles a vertex stuck because every candidate receiver is at
+// the edge target. This happens when hub degrees are comparable to (or
+// above) the target itself, making the constraint locally infeasible.
+// It returns a part that stays well below the donor x, with estimated
+// load estEx, even after receiving v (estE + 2·deg(v) ≤ estEx prevents
+// ping-ponging), or x if none. The scan starts at a vertex-dependent
+// rotation so concurrent hub evictions spread over distinct receivers
+// instead of all piling onto the single lightest part.
+func (s *state) rotate(v, x int32, dv, estEx float64) int32 {
+	capMult := float64(s.g.Comm.Size())
+	start := int(uint64(s.g.L2G[v]) % uint64(s.p))
+	for k := 0; k < s.p; k++ {
+		i := (start + k) % s.p
+		if int32(i) == x {
+			continue
+		}
+		cvi := float64(atomic.LoadInt64(&s.cv[i]))
+		if float64(s.sv[i])+capMult*cvi+1 > s.imbV {
+			continue
+		}
+		estE := float64(s.se[i]) + capMult*float64(atomic.LoadInt64(&s.ce[i]))
+		if estE+2*dv <= estEx && estE <= s.imbE {
+			return int32(i)
+		}
+	}
+	return x
 }
 
 // edgeRefine is the final refinement (§III.E): plurality label
@@ -200,6 +217,7 @@ func (s *state) edgeRefine() {
 
 	// Worst-case multiplier for receiver caps; see vertRefine.
 	mult := float64(g.Comm.Size())
+	scans := newPartScans(threads, s.p)
 
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		maxC := maxOf(s.sc, 1)
@@ -207,21 +225,18 @@ func (s *state) edgeRefine() {
 		s.beginExchange(s.roundTallyLen(true))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
-			counts := make([]int64, s.p)
+			ps := &scans[tid]
+			counts := ps.counts
 			for vi := lo; vi < hi; vi++ {
 				v := int32(vi)
-				for i := range counts {
-					counts[i] = 0
-				}
-				for _, u := range g.Neighbors(v) {
-					counts[s.loadPart(u)]++
-				}
+				cand := ps.tally(s, v)
 				x := s.loadPart(v)
 				dv := g.Degree(v)
-				w := x
-				best := counts[x]
-				for i := 0; i < s.p; i++ {
-					if counts[i] <= best {
+				w, best := x, counts[x]
+				for _, i := range cand {
+					c := counts[i]
+					counts[i] = 0
+					if !better(c, best, i, w, x) {
 						continue
 					}
 					// Moves must respect the vertex and edge targets and
@@ -230,12 +245,11 @@ func (s *state) edgeRefine() {
 					estV := float64(s.sv[i]) + mult*float64(atomic.LoadInt64(&s.cv[i]))
 					estE := float64(s.se[i]) + mult*float64(atomic.LoadInt64(&s.ce[i]))
 					estC := float64(s.sc[i]) + mult*float64(atomic.LoadInt64(&s.cc[i]))
-					cutAfter := float64(dv - counts[i]) // arcs leaving part i from v
+					cutAfter := float64(dv - c) // arcs leaving part i from v
 					if estV+1 > s.imbV || estE+float64(dv) > s.imbE || estC+cutAfter > maxC {
 						continue
 					}
-					best = counts[i]
-					w = int32(i)
+					best, w = c, i
 				}
 				if w != x {
 					s.moveEdgeDeltas(v, x, w)

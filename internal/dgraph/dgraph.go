@@ -3,7 +3,6 @@ package dgraph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -79,14 +78,6 @@ func (g *Graph) Neighbors(v int32) []int32 {
 
 // IsGhost reports whether local id v refers to a ghost vertex.
 func (g *Graph) IsGhost(v int32) bool { return int(v) >= g.NLocal }
-
-// OwnerOfLocal returns the rank owning local id v.
-func (g *Graph) OwnerOfLocal(v int32) int {
-	if g.IsGhost(v) {
-		return int(g.GhostOwner[int(v)-g.NLocal])
-	}
-	return g.Comm.Rank()
-}
 
 // FromEdgeChunks builds the distributed graph collectively. Each rank
 // passes its (arbitrary, possibly overlapping-none) chunk of the global
@@ -597,15 +588,6 @@ func (g *Graph) GatherGlobal(vals []int32) []int32 {
 			out[pairs[i]] = int32(pairs[i+1])
 		}
 	}
-	return out
-}
-
-// SortedGhostGIDs returns the ghost global ids in increasing order
-// (diagnostics and tests).
-func (g *Graph) SortedGhostGIDs() []int64 {
-	out := make([]int64, g.NGhost)
-	copy(out, g.L2G[g.NLocal:])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -40,9 +40,6 @@ type Generator struct {
 	genBlock func(b int64, out []graph.Edge) []graph.Edge
 }
 
-// NumBlocks returns the generator's block count (exported for tests).
-func (g *Generator) NumBlocks() int64 { return g.blocks }
-
 // EdgesChunk returns the edges of the blocks owned by rank out of
 // nranks. Blocks are dealt in contiguous runs, so chunk sizes differ by
 // at most one block. The union of all ranks' chunks equals Edges().

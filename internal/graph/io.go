@@ -16,6 +16,10 @@ import (
 const (
 	binaryMagic   = 0x584C5550 // "PULX"
 	binaryVersion = 1
+
+	// maxBinaryPrealloc caps the edges ReadEdgeListBinary allocates
+	// before reading them (16 MiB of edges).
+	maxBinaryPrealloc = 1 << 20
 )
 
 // WriteEdgeListText writes "u v" lines preceded by a "# n m" header
@@ -128,14 +132,19 @@ func ReadEdgeListBinary(r io.Reader) (n int64, edges []Edge, err error) {
 	if n < 0 || m < 0 {
 		return 0, nil, fmt.Errorf("graph: negative header fields n=%d m=%d", n, m)
 	}
-	edges = make([]Edge, m)
+	// The header's m is untrusted: preallocate at most maxBinaryPrealloc
+	// edges and grow as data arrives, so a short file claiming billions
+	// of edges fails as truncated instead of exhausting memory.
+	edges = make([]Edge, 0, min(m, maxBinaryPrealloc))
 	buf := make([]byte, 16)
 	for i := int64(0); i < m; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return 0, nil, fmt.Errorf("graph: truncated edge data at %d/%d: %w", i, m, err)
 		}
-		edges[i].U = int64(binary.LittleEndian.Uint64(buf[0:8]))
-		edges[i].V = int64(binary.LittleEndian.Uint64(buf[8:16]))
+		edges = append(edges, Edge{
+			U: int64(binary.LittleEndian.Uint64(buf[0:8])),
+			V: int64(binary.LittleEndian.Uint64(buf[8:16])),
+		})
 	}
 	return n, edges, nil
 }

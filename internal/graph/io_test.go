@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,6 +105,83 @@ func TestBinaryTruncated(t *testing.T) {
 	if _, _, err := ReadEdgeListBinary(bytes.NewReader(short)); err == nil {
 		t.Fatal("expected truncation error")
 	}
+}
+
+// binaryHeader encodes a binary edge-list header claiming n vertices
+// and m edges.
+func binaryHeader(n, m int64) []byte {
+	var b []byte
+	for _, h := range []int64{binaryMagic, binaryVersion, n, m} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(h))
+	}
+	return b
+}
+
+// A short file whose header claims billions of edges must fail as
+// truncated, without first allocating room for every claimed edge.
+func TestBinaryHugeEdgeCountTruncated(t *testing.T) {
+	in := append(binaryHeader(4, 1<<33), make([]byte, 10)...) // 42 bytes
+	_, _, err := ReadEdgeListBinary(bytes.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "truncated edge data at 0/8589934592") {
+		t.Fatalf("err = %v, want truncated edge data", err)
+	}
+}
+
+// FuzzReadEdgeListText feeds arbitrary text to the text reader: it must
+// return an error or an edge list that writes back and re-reads to the
+// same n and edges.
+func FuzzReadEdgeListText(f *testing.F) {
+	f.Add([]byte("# 5 4\n0 1\n1 2\n2 0\n3 3\n"))
+	f.Add([]byte("% comment\n\n0 5\n2 3\n"))
+	f.Add([]byte("# 2 1\n0 5\n"))
+	f.Add([]byte("# 8589934592 8589934592\n0 1\n"))
+	f.Add([]byte("0\n"))
+	f.Add([]byte("-3 -4\n9223372036854775807 0\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		n, edges, err := ReadEdgeListText(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeListText(&buf, n, edges); err != nil {
+			t.Fatal(err)
+		}
+		n2, edges2, err := ReadEdgeListText(&buf)
+		if err != nil || n2 != n || !slices.Equal(edges2, edges) {
+			t.Fatalf("round trip: (%d, %d edges, %v), want (%d, %d edges)", n2, len(edges2), err, n, len(edges))
+		}
+	})
+}
+
+// FuzzReadEdgeListBinary feeds arbitrary bytes to the binary reader: it
+// must return an error or an edge list that re-encodes to exactly the
+// bytes it consumed, and a huge claimed edge count must not exhaust
+// memory.
+func FuzzReadEdgeListBinary(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteEdgeListBinary(&valid, 1<<41, []Edge{{0, 1}, {100, 200}, {1 << 40, 2}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-8])
+	f.Add(binaryHeader(4, 0))
+	f.Add(append(binaryHeader(4, 1<<33), make([]byte, 10)...))
+	f.Add(binaryHeader(4, math.MaxInt64))
+	f.Add(binaryHeader(-1, 1))
+	f.Add(binaryHeader(4, 1)[:20])
+	f.Fuzz(func(t *testing.T, in []byte) {
+		n, edges, err := ReadEdgeListBinary(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeListBinary(&buf, n, edges); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() > len(in) || !bytes.Equal(buf.Bytes(), in[:buf.Len()]) {
+			t.Fatalf("re-encoding %d edges does not reproduce the consumed input", len(edges))
+		}
+	})
 }
 
 func TestSaveLoadFileTextAndBinary(t *testing.T) {

@@ -313,7 +313,11 @@ func (s *solver) refine(enforceEdge bool) {
 }
 
 // edgeBalance shifts degree weight out of parts exceeding the edge
-// target into edge-underweight parts, respecting the vertex cap.
+// target into edge-underweight parts, respecting the vertex cap. The
+// vertex room those parts have left is spent only on vertices heavy
+// enough to matter (worthMoving), and light vertices leave parts that
+// are vertex-full but edge-light to free room for heavier ones
+// (makeRoom).
 func (s *solver) edgeBalance() {
 	threads := s.threads()
 	for iter := 0; iter < s.opt.Ibal; iter++ {
@@ -322,7 +326,14 @@ func (s *solver) edgeBalance() {
 			for vi := lo; vi < hi; vi++ {
 				v := int64(vi)
 				x := s.loadPart(v)
-				if float64(atomic.LoadInt64(&s.se[x])) <= s.imbE {
+				dv := float64(s.g.Degree(v))
+				if ex := float64(atomic.LoadInt64(&s.se[x])); ex <= s.imbE {
+					if w := s.makeRoom(x, ex, dv); w != x {
+						s.move(v, x, w)
+					}
+					continue
+				}
+				if !s.worthMoving(dv) {
 					continue
 				}
 				for i := range cnt {
@@ -331,7 +342,6 @@ func (s *solver) edgeBalance() {
 				for _, u := range s.g.Neighbors(v) {
 					cnt[s.loadPart(u)] += float64(s.g.Degree(u))
 				}
-				dv := float64(s.g.Degree(v))
 				w, best := x, 0.0
 				for i := 0; i < s.p; i++ {
 					ei := float64(atomic.LoadInt64(&s.se[i]))
@@ -355,4 +365,56 @@ func (s *solver) edgeBalance() {
 			}
 		})
 	}
+}
+
+// worthMoving reports whether a vertex of degree dv may spend one unit
+// of the vertex slack left in edge-underweight parts. The slack is
+// scarce: once those parts reach the vertex cap, edge balancing stalls.
+// A vertex qualifies when it carries at least the average degree the
+// remaining slack must absorb to bring every part under the edge cap,
+// so low-degree vertices cannot exhaust the slack before the hubs that
+// carry the excess are visited, whatever order the workers reach them.
+func (s *solver) worthMoving(dv float64) bool {
+	excess, slack := 0.0, 0.0
+	for i := 0; i < s.p; i++ {
+		ei := float64(atomic.LoadInt64(&s.se[i]))
+		if ei > s.imbE {
+			excess += ei - s.imbE
+			continue
+		}
+		if room := s.imbV - float64(atomic.LoadInt64(&s.sv[i])); room >= 1 {
+			slack += room
+		}
+	}
+	return dv*slack >= excess
+}
+
+// makeRoom picks a part to take a vertex of degree dv out of part x,
+// which is within the edge cap (ex edges) but at the vertex cap, or
+// returns x to stay. Such a part can absorb edges only in exchange for
+// vertices, so a light vertex leaves for an edge-overweight part with
+// vertex room whose vertices are on average at least twice as heavy
+// and would fit in x's edge room; that part can then shed one of them
+// into the freed slot. Among eligible parts the one furthest over the
+// edge cap wins.
+func (s *solver) makeRoom(x int32, ex, dv float64) int32 {
+	if float64(atomic.LoadInt64(&s.sv[x]))+1 <= s.imbV {
+		return x
+	}
+	w, bestEx := x, 0.0
+	for i := 0; i < s.p; i++ {
+		ei := float64(atomic.LoadInt64(&s.se[i]))
+		vi := float64(atomic.LoadInt64(&s.sv[i]))
+		if ei <= s.imbE || vi+1 > s.imbV || vi < 1 {
+			continue
+		}
+		avg := ei / vi
+		if 2*dv > avg || ex+avg > s.imbE {
+			continue
+		}
+		if over := ei - s.imbE; over > bestEx {
+			bestEx, w = over, int32(i)
+		}
+	}
+	return w
 }

@@ -61,11 +61,6 @@ func (r *Rand) Uint32() uint32 {
 	return uint32(r.Uint64() >> 32)
 }
 
-// Int63 returns a non-negative pseudo-random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Int64n returns a uniform pseudo-random integer in [0, n). It panics if
 // n <= 0. Lemire's multiply-shift rejection method avoids modulo bias.
 func (r *Rand) Int64n(n int64) int64 {
