@@ -15,8 +15,8 @@ type AnalyticResult = analytics.Result
 
 // AnalyticsConfig drives a distributed analytics run.
 type AnalyticsConfig struct {
-	// Ranks is the number of simulated compute nodes; parts must map
-	// every vertex into [0, Ranks).
+	// Ranks is the number of simulated compute nodes (default 1);
+	// parts must map every vertex into [0, Ranks).
 	Ranks int
 	// HCSources bounds the harmonic centrality BFS count (the paper
 	// uses 100).
@@ -89,6 +89,9 @@ type AnalyticsReport struct {
 
 // RunAnalyticsReport is RunAnalyticsCfg with communication counters.
 func RunAnalyticsReport(g *Generator, parts []int32, cfg AnalyticsConfig) (AnalyticsReport, error) {
+	if cfg.Ranks < 1 {
+		cfg.Ranks = 1
+	}
 	if int64(len(parts)) != g.N {
 		return AnalyticsReport{}, fmt.Errorf("repro: %d part assignments for %d vertices", len(parts), g.N)
 	}
@@ -173,7 +176,7 @@ const (
 
 // SpMVConfig drives a distributed SpMV run.
 type SpMVConfig struct {
-	// Ranks is the number of simulated MPI ranks.
+	// Ranks is the number of simulated MPI ranks (default 1).
 	Ranks int
 	// Layout places nonzeros: Layout1D or Layout2D.
 	Layout string
@@ -213,6 +216,9 @@ func RunSpMVCfg(g *Graph, parts []int32, cfg SpMVConfig) (SpMVResult, error) {
 		l = spmv.TwoD
 	default:
 		return SpMVResult{}, fmt.Errorf("repro: unknown layout %q (1d|2d)", cfg.Layout)
+	}
+	if cfg.Ranks < 1 {
+		cfg.Ranks = 1
 	}
 	var out SpMVResult
 	var runErr error

@@ -80,6 +80,12 @@ func TestRunAnalyticsValidation(t *testing.T) {
 	if _, _, err := XtraPuLPGen(gen, Config{Parts: 4, Ranks: 2, PipeDepth: -3}); err == nil {
 		t.Fatal("expected PipeDepth validation error from XtraPuLPGen")
 	}
+	// Ranks < 1 means one rank, as for XtraPuLPGen: every vertex on
+	// node 0 is then a valid assignment.
+	res, err := RunAnalyticsCfg(gen, parts, AnalyticsConfig{HCSources: 1})
+	if err != nil || len(res) != 6 {
+		t.Fatalf("Ranks: 0: %d results, err %v; want 6 results", len(res), err)
+	}
 }
 
 // Analytics results must be depth-independent through the public
@@ -130,6 +136,18 @@ func TestRunSpMVBothLayouts(t *testing.T) {
 	}
 	if checks[0] != checks[1] {
 		t.Errorf("layout checksums differ: %v", checks)
+	}
+	// Ranks < 1 means one rank, as for XtraPuLPGen.
+	one := make([]int32, g.N)
+	want, err := RunSpMV(g, one, 1, Layout1D, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{0, -1} {
+		res, err := RunSpMVCfg(g, one, SpMVConfig{Ranks: ranks, Layout: Layout1D, Iterations: 5})
+		if err != nil || res.Checksum != want.Checksum {
+			t.Errorf("Ranks: %d: checksum %v, err %v; want the one-rank checksum %v", ranks, res.Checksum, err, want.Checksum)
+		}
 	}
 }
 

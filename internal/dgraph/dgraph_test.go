@@ -231,10 +231,10 @@ func TestExchangeUpdatesOnlyTouchedVertices(t *testing.T) {
 		recv := dg.ExchangeUpdates(q)
 		// Received updates must reference ghosts whose gid is one of the
 		// announced vertices (gid = first owned vertex of some rank).
-		firstOwned := mpi.Allgather(c, dg.L2G[0])
+		firstOwned := mpi.Allgatherv(c, dg.L2G[:1])
 		valid := map[int64]bool{}
-		for _, gid := range firstOwned {
-			valid[gid] = true
+		for _, gids := range firstOwned {
+			valid[gids[0]] = true
 		}
 		for _, upd := range recv {
 			if !valid[dg.L2G[upd.LID]] {
@@ -337,19 +337,15 @@ func TestExchangeUpdatesThreadedMatchesSerial(t *testing.T) {
 				q[v] = Update{LID: int32(v), Value: int32(dg.L2G[v] % 997)}
 			}
 			recv := dg.ExchangeUpdates(q)
-			type kv struct {
-				gid int64
-				val int32
-			}
-			pairs := make([]kv, len(recv))
-			for i, u := range recv {
-				pairs[i] = kv{dg.L2G[u.LID], u.Value}
+			pairs := make([]int64, 0, 2*len(recv)) // (gid, value) words
+			for _, u := range recv {
+				pairs = append(pairs, dg.L2G[u.LID], int64(u.Value))
 			}
 			all := mpi.Allgatherv(c, pairs)
 			if c.Rank() == 0 {
 				for _, rankPairs := range all {
-					for _, p := range rankPairs {
-						out[p.gid] = p.val
+					for i := 0; i < len(rankPairs); i += 2 {
+						out[rankPairs[i]] = int32(rankPairs[i+1])
 					}
 				}
 			}

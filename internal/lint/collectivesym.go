@@ -39,9 +39,7 @@ var parWorkerFuncs = map[string]bool{
 // that internally performs a round of symmetric communication.
 var collectiveFuncs = map[callee]bool{
 	{mpiPath, "", "Bcast"}:                true,
-	{mpiPath, "", "Allgather"}:            true,
 	{mpiPath, "", "Allgatherv"}:           true,
-	{mpiPath, "", "Alltoall"}:             true,
 	{mpiPath, "", "Alltoallv"}:            true,
 	{mpiPath, "", "Allreduce"}:            true,
 	{mpiPath, "", "AllreduceScalar"}:      true,

@@ -50,7 +50,6 @@ var wireSinkFuncs = map[callee]bool{
 var collectivePayloadFuncs = map[callee]bool{
 	{mpiPath, "", "Alltoallv"}:                    true,
 	{mpiPath, "", "Allgatherv"}:                   true,
-	{mpiPath, "", "Allgather"}:                    true,
 	{mpiPath, "", "Bcast"}:                        true,
 	{mpiPath, "", "Allreduce"}:                    true,
 	{dgraphPath, "DeltaExchanger", "Begin"}:       true,

@@ -28,7 +28,7 @@ type callee struct {
 // builtins, conversions, and calls the type info cannot resolve.
 func calleeOf(info *types.Info, call *ast.CallExpr) (callee, bool) {
 	fun := ast.Unparen(call.Fun)
-	// Strip explicit generic instantiation (mpi.Irecv[float64]).
+	// Strip explicit generic instantiation (mpi.Alltoallv[float64]).
 	switch ix := fun.(type) {
 	case *ast.IndexExpr:
 		fun = ast.Unparen(ix.X)

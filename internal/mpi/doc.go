@@ -1,21 +1,27 @@
 // Package mpi provides the communicator that stands in for MPI in the
 // XtraPuLP reproduction. Ranks interact only through collective
-// operations (Barrier, Bcast, Allgather, Allgatherv, Alltoall,
-// Alltoallv, Allreduce) and nonblocking point-to-point messages
-// (Isend, Irecv, Waitall) — exactly the operation set the distributed
-// partitioner and its downstream applications use.
+// operations (Barrier, Bcast, Allgatherv, Alltoallv, Allreduce) and
+// pooled point-to-point messages (Isend64, Recv64, Recycle64) — exactly
+// the operation set the distributed partitioner and its downstream
+// applications use. Every payload is a vector of int64 or float64
+// words: Bcast and Allgatherv move int64, Alltoallv and Allreduce move
+// either, and point-to-point messages carry int64 (float64 values ride
+// as their math.Float64bits words).
 //
 // # Pluggable transport
 //
 // The rank substrate is the Transport interface: rank identity, the
 // pooled int64 point-to-point triple (Send64/Recv64/Recycle64), the
-// typed collectives, and Abort/Close. Two implementations exist:
+// typed collectives, and Abort/Close. That word surface is the whole
+// rank API — Comm adds only statistics — so one call runs one protocol
+// on either implementation:
 //
 //   - The in-process world (Run/RunThreads/RunWorld): each rank is a
 //     goroutine, messages move through shared-memory mailboxes, and
-//     generic element types transfer without serialization. This is
-//     the default and the fast path — its steady-state exchange rounds
-//     keep the AllocsPerRun == 0 guarantee.
+//     collectives read each other's publication slots without
+//     serialization. This is the default and the fast path — its
+//     steady-state exchange rounds keep the AllocsPerRun == 0
+//     guarantee.
 //   - The socket transport (DialSocket/NewSocketWorld): each rank is
 //     its own OS process, connected pairwise over Unix or TCP sockets
 //     carrying internal/wire frames. Rendezvous comes from explicit
@@ -55,14 +61,14 @@
 // Each ordered rank pair (src, dst) owns one unbounded FIFO mailbox.
 // Messages between a pair are delivered in send order (MPI's
 // non-overtaking guarantee) while messages from different sources are
-// independent. Isend models an eager/buffered transport: the payload is
-// copied at call time, the send completes immediately, and the sender
-// may reuse its buffer. An Irecv matches the oldest undelivered message
-// from its source; protocols that interleave several logical message
-// kinds on the same pair (boundary updates, value pushes, piggybacked
-// tallies) therefore stay matched as long as every rank issues the same
-// sequence of exchange operations — the same discipline collectives
-// require.
+// independent. Isend64 models an eager/buffered transport: the payload
+// is copied at call time, the send completes immediately, and the
+// sender may reuse its buffer. A Recv64 matches the oldest undelivered
+// message from its source; protocols that interleave several logical
+// message kinds on the same pair (boundary updates, value pushes,
+// piggybacked tallies) therefore stay matched as long as every rank
+// issues the same sequence of exchange operations — the same
+// discipline collectives require.
 //
 // Messages may carry a round tag (Isend64Tag/Recv64Tag). Tags never
 // affect matching — delivery stays strict FIFO per pair — but a
@@ -103,16 +109,15 @@
 // which is how the partitioner's and the analytics' asynchronous modes
 // retire their per-iteration Allreduces.
 //
-// # Pooled int64 fast path
+// # Pooled buffers
 //
-// Isend64, Recv64, and Comm.Recycle64 form an allocation-free variant
-// of Isend/Irecv for int64 payloads: transfer copies are drawn from a
-// per-world best-fit buffer pool and returned to it by the receiver
+// Isend64, Recv64, and Comm.Recycle64 are allocation-free: transfer
+// copies are drawn from a size-class buffer pool (one per in-process
+// world, one per socket process) and returned to it by the receiver
 // after decoding. Once the pool reaches the transport's in-flight
 // high-water mark (a warmup round or two), steady-state exchange
-// rounds perform no heap allocation. The two variants interoperate —
-// Recv64 and Irecv accept messages from either send — but only the
-// pooled pair recycles.
+// rounds perform no heap allocation. Recycling is optional; a receiver
+// that keeps a payload simply never returns it.
 //
 // # Hot-path annotation
 //

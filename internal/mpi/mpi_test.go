@@ -74,10 +74,10 @@ func TestBcast(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	const p = 6
 	Run(p, func(c *Comm) {
-		got := Allgather(c, c.Rank()*10)
+		got := Allgatherv(c, []int64{int64(c.Rank()) * 10})
 		for r := 0; r < p; r++ {
-			if got[r] != r*10 {
-				t.Errorf("rank %d Allgather[%d] = %d, want %d", c.Rank(), r, got[r], r*10)
+			if len(got[r]) != 1 || got[r][0] != int64(r)*10 {
+				t.Errorf("rank %d Allgatherv[%d] = %v, want [%d]", c.Rank(), r, got[r], r*10)
 			}
 		}
 	})
@@ -86,15 +86,18 @@ func TestAllgather(t *testing.T) {
 func TestAlltoall(t *testing.T) {
 	const p = 4
 	Run(p, func(c *Comm) {
-		send := make([]int, p)
+		// One element per rank pair: the MPI_Alltoall special case.
+		send := make([]int64, p)
+		ones := make([]int, p)
 		for r := range send {
-			send[r] = c.Rank()*100 + r // tagged (src, dst)
+			send[r] = int64(c.Rank()*100 + r) // tagged (src, dst)
+			ones[r] = 1
 		}
-		got := Alltoall(c, send)
+		got, _ := Alltoallv(c, send, ones)
 		for r := 0; r < p; r++ {
-			want := r*100 + c.Rank()
+			want := int64(r*100 + c.Rank())
 			if got[r] != want {
-				t.Errorf("rank %d Alltoall[%d] = %d, want %d", c.Rank(), r, got[r], want)
+				t.Errorf("rank %d Alltoallv[%d] = %d, want %d", c.Rank(), r, got[r], want)
 			}
 		}
 	})
@@ -159,7 +162,7 @@ func TestAlltoallvValidatesCounts(t *testing.T) {
 		}
 	}()
 	Run(1, func(c *Comm) {
-		Alltoallv(c, []int64{1, 2}, []int{1}) // sum 1 != len 2... actually len counts ok, sum mismatch
+		Alltoallv(c, []int64{1, 2}, []int{1}) // counts sum to 1, the buffer holds 2
 	})
 }
 
@@ -214,14 +217,14 @@ func TestPanicPropagatesFromRank(t *testing.T) {
 		}
 		// Other ranks park in a collective; poison must release them.
 		c.Barrier()
-		Allgather(c, 1)
+		Allgatherv(c, []int64{1})
 	})
 }
 
 func TestStatsCountTraffic(t *testing.T) {
 	Run(3, func(c *Comm) {
 		c.ResetStats()
-		Allgather(c, 1)
+		Allgatherv(c, []int64{1})
 		Alltoallv(c, []int64{1, 2, 3}, []int{1, 1, 1})
 		AllreduceScalar(c, int64(1), Sum)
 		s := c.Stats()
@@ -242,10 +245,10 @@ func TestCollectiveSequenceStress(t *testing.T) {
 	const p = 8
 	Run(p, func(c *Comm) {
 		for iter := 0; iter < 50; iter++ {
-			v := Allgather(c, c.Rank()+iter)
+			v := Allgatherv(c, []int64{int64(c.Rank() + iter)})
 			for r := 0; r < p; r++ {
-				if v[r] != r+iter {
-					t.Errorf("iter %d: Allgather[%d] = %d", iter, r, v[r])
+				if v[r][0] != int64(r+iter) {
+					t.Errorf("iter %d: Allgatherv[%d] = %v", iter, r, v[r])
 					return
 				}
 			}
@@ -323,9 +326,9 @@ func BenchmarkAlltoallv8Ranks(b *testing.B) {
 func TestAllgatherv(t *testing.T) {
 	const p = 4
 	Run(p, func(c *Comm) {
-		mine := make([]int, c.Rank()) // rank r contributes r elements
+		mine := make([]int64, c.Rank()) // rank r contributes r elements
 		for i := range mine {
-			mine[i] = c.Rank()*100 + i
+			mine[i] = int64(c.Rank()*100 + i)
 		}
 		all := Allgatherv(c, mine)
 		if len(all) != p {
@@ -338,7 +341,7 @@ func TestAllgatherv(t *testing.T) {
 				return
 			}
 			for i, v := range all[r] {
-				if v != r*100+i {
+				if v != int64(r*100+i) {
 					t.Errorf("all[%d][%d] = %d", r, i, v)
 					return
 				}

@@ -19,12 +19,13 @@ func TestStatsFieldsCoverStruct(t *testing.T) {
 func TestIsendIrecvRoundTrip(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			Isend(c, 1, []int64{7, 8, 9})
+			Isend64(c, 1, []int64{7, 8, 9})
 		} else {
-			got := Irecv[int64](c, 0).Await()
+			got := Recv64(c, 0)
 			if len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
-				t.Errorf("Irecv got %v", got)
+				t.Errorf("Recv64 got %v", got)
 			}
+			c.Recycle64(got)
 		}
 	})
 }
@@ -41,7 +42,7 @@ func TestP2POrderingPerRankPair(t *testing.T) {
 				continue
 			}
 			for k := 0; k < msgs; k++ {
-				Isend(c, dst, []int32{int32(c.Rank()), int32(k)})
+				Isend64(c, dst, []int64{int64(c.Rank()), int64(k)})
 			}
 		}
 		// …and must observe each source's stream strictly in order.
@@ -50,29 +51,30 @@ func TestP2POrderingPerRankPair(t *testing.T) {
 				continue
 			}
 			for k := 0; k < msgs; k++ {
-				got := Irecv[int32](c, src).Await()
-				if len(got) != 2 || got[0] != int32(src) || got[1] != int32(k) {
+				got := Recv64(c, src)
+				if len(got) != 2 || got[0] != int64(src) || got[1] != int64(k) {
 					t.Errorf("rank %d msg %d from %d: got %v", c.Rank(), k, src, got)
 					return
 				}
+				c.Recycle64(got)
 			}
 		}
 	})
 }
 
 // The receive buffer must be private: mutating the sender's buffer
-// after Isend, or the receiver's buffer after Wait, must not be
+// after Isend64, or the receiver's buffer after Recv64, must not be
 // visible to the other side.
 func TestP2PNoBufferAliasing(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := []int64{1, 2, 3}
-			Isend(c, 1, buf)
+			Isend64(c, 1, buf)
 			buf[0] = -99 // sender reuses its buffer immediately
-			Isend(c, 1, buf)
+			Isend64(c, 1, buf)
 		} else {
-			first := Irecv[int64](c, 0).Await()
-			second := Irecv[int64](c, 0).Await()
+			first := Recv64(c, 0)
+			second := Recv64(c, 0)
 			if first[0] != 1 {
 				t.Errorf("first message saw sender's later write: %v", first)
 			}
@@ -91,11 +93,10 @@ func TestP2PStatsAccounting(t *testing.T) {
 	Run(2, func(c *Comm) {
 		c.ResetStats()
 		peer := 1 - c.Rank()
-		Isend(c, peer, []int64{1, 2, 3, 4, 5})
-		Isend(c, peer, []int64{})
-		r1 := Irecv[int64](c, peer)
-		r2 := Irecv[int64](c, peer)
-		Waitall(r1, r2)
+		Isend64(c, peer, []int64{1, 2, 3, 4, 5})
+		Isend64(c, peer, []int64{})
+		c.Recycle64(Recv64(c, peer))
+		c.Recycle64(Recv64(c, peer))
 		s := c.Stats()
 		if s.SendOps != 2 || s.RecvOps != 2 {
 			t.Errorf("SendOps=%d RecvOps=%d, want 2,2", s.SendOps, s.RecvOps)
@@ -105,30 +106,6 @@ func TestP2PStatsAccounting(t *testing.T) {
 		}
 		if s.Collectives != 0 {
 			t.Errorf("point-to-point traffic counted as collective: %+v", s)
-		}
-	})
-}
-
-// Waitall must complete a mixed batch of send and receive requests.
-func TestWaitallMixedRequests(t *testing.T) {
-	const p = 3
-	Run(p, func(c *Comm) {
-		var reqs []Request
-		recvs := make([]*RecvRequest[int], 0, p-1)
-		for r := 0; r < p; r++ {
-			if r == c.Rank() {
-				continue
-			}
-			reqs = append(reqs, Isend(c, r, []int{c.Rank() * 100}))
-			rr := Irecv[int](c, r)
-			recvs = append(recvs, rr)
-			reqs = append(reqs, rr)
-		}
-		Waitall(reqs...)
-		for _, rr := range recvs {
-			if got := rr.Data(); len(got) != 1 || got[0]%100 != 0 {
-				t.Errorf("rank %d got %v", c.Rank(), got)
-			}
 		}
 	})
 }
@@ -150,14 +127,16 @@ func TestP2PConcurrentDrain(t *testing.T) {
 					if src == c.Rank() {
 						continue
 					}
-					total += len(Irecv[int64](c, src).Await())
+					got := Recv64(c, src)
+					total += len(got)
+					c.Recycle64(got)
 				}
 			}()
 			for dst := 0; dst < p; dst++ {
 				if dst == c.Rank() {
 					continue
 				}
-				Isend(c, dst, []int64{int64(round), int64(c.Rank())})
+				Isend64(c, dst, []int64{int64(round), int64(c.Rank())})
 			}
 			wg.Wait()
 			if total != 2*(p-1) {
@@ -169,7 +148,7 @@ func TestP2PConcurrentDrain(t *testing.T) {
 	})
 }
 
-// A sibling panic must release ranks blocked in Irecv.Wait instead of
+// A sibling panic must release ranks blocked in Recv64 instead of
 // deadlocking them, and the original panic must surface.
 func TestP2PPanicReleasesBlockedReceiver(t *testing.T) {
 	defer func() {
@@ -186,40 +165,31 @@ func TestP2PPanicReleasesBlockedReceiver(t *testing.T) {
 			panic("p2p boom")
 		}
 		// Ranks 1 and 2 park on a message that will never arrive.
-		Irecv[int64](c, 0).Wait()
+		Recv64(c, 0)
 	})
 }
 
+// Both directions of point-to-point traffic reject a peer rank outside
+// the world with a panic naming the operation.
 func TestIsendValidatesRank(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected panic for out-of-range destination")
-		}
-		if s, ok := p.(string); !ok || !strings.Contains(s, "Isend") {
-			t.Fatalf("unexpected panic payload: %v", p)
-		}
-	}()
-	Run(1, func(c *Comm) {
-		Isend(c, 5, []int{1})
-	})
-}
-
-func TestIrecvTypeMismatchPanics(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected panic for type mismatch")
-		}
-		if s, ok := p.(string); !ok || !strings.Contains(s, "type mismatch") {
-			t.Fatalf("unexpected panic payload: %v", p)
-		}
-	}()
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			Isend(c, 1, []int64{1})
-			return
-		}
-		Irecv[float64](c, 0).Wait()
-	})
+	for _, tc := range []struct {
+		op string
+		fn func(c *Comm)
+	}{
+		{"Isend64", func(c *Comm) { Isend64(c, 5, []int64{1}) }},
+		{"Recv64", func(c *Comm) { Recv64(c, -1) }},
+	} {
+		func() {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatalf("%s: expected panic for out-of-range rank", tc.op)
+				}
+				if s, ok := p.(string); !ok || !strings.Contains(s, tc.op) {
+					t.Fatalf("%s: unexpected panic payload: %v", tc.op, p)
+				}
+			}()
+			Run(1, tc.fn)
+		}()
+	}
 }

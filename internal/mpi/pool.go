@@ -33,8 +33,8 @@ func buf64Class(n int) int {
 // get pops a pooled buffer from the request's capacity class, or
 // allocates one of exactly that class when the bucket is empty (so the
 // buffer returns to the same bucket on recycle). n == 0 returns a
-// canonical non-nil empty slice so message.i64 stays a valid
-// discriminator.
+// canonical empty slice: zero has no capacity class, and an empty
+// message needs no storage.
 //
 //repro:hotpath
 func (p *pool64) get(n int) []int64 {

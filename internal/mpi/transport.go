@@ -9,8 +9,9 @@ import (
 // the collectives actually use, extracted so a world can be backed by
 // in-process goroutine mailboxes (NewProcWorld, the default) or by one
 // OS process per rank over TCP/Unix sockets (DialSocket). A Transport
-// is one rank's handle; Comm wraps it with traffic statistics and the
-// generic convenience API.
+// is one rank's handle; Comm wraps it with traffic statistics. This
+// word surface is the whole rank API: the same call runs the same
+// protocol on either substrate.
 //
 // Contract, shared by every implementation and enforced by the
 // conformance suite in internal/mpitest:
@@ -82,22 +83,6 @@ type Transport interface {
 	// goroutines). In-process worlds share state across ranks and treat
 	// Close as a no-op; socket worlds tear down their connections.
 	Close() error
-}
-
-// genericTransport is the in-process extension of Transport: arbitrary
-// element types move through shared-memory mailboxes and publication
-// slots without serialization. Wire-backed transports do not implement
-// it; Comm's generic operations fall back to typed word encodings (or
-// panic for non-numeric element types).
-type genericTransport interface {
-	Transport
-	sendAny(dst int, data any, count int)
-	recvAny(src int) message
-	// publish writes v into this rank's slot and synchronizes so all
-	// slots are visible; the returned release function must be called
-	// after the caller has finished reading other ranks' slots.
-	publish(v any) (release func())
-	slot(r int) any
 }
 
 // TransportFailure is the panic payload raised by transport operations

@@ -209,9 +209,11 @@ func testCollectives(t *testing.T, factory Factory) {
 			assertEq64(c, "Allgatherv", all[r], want)
 		}
 
-		// Allgather of scalars.
-		g := mpi.Allgather(c, me*me)
-		assertEq64(c, "Allgather", g, []int64{0, 1, 4, 9})
+		// Allgatherv of one scalar per rank.
+		g := mpi.Allgatherv(c, []int64{me * me})
+		for r := 0; r < n; r++ {
+			assertEq64(c, "Allgatherv scalar", g[r], []int64{int64(r * r)})
+		}
 
 		// Alltoallv: rank r sends d+1 elements of value 100r+d to rank d.
 		counts := make([]int, n)
@@ -233,6 +235,39 @@ func testCollectives(t *testing.T, factory Factory) {
 			}
 		}
 		assertEq64(c, "Alltoallv", recv, wantRecv)
+
+		// Alltoallv of float64: rank r sends d+1 values to rank d, among
+		// them signed zero, infinity, a NaN payload and a subnormal, so
+		// any lossy encoding shows in the bits.
+		fval := func(src, dst, i int) float64 {
+			switch i {
+			case 0:
+				return math.Pi*float64(src) + 1/float64(dst+3)
+			case 1:
+				return math.Copysign(0, -1)
+			case 2:
+				return math.Inf(1 - 2*(src%2))
+			default:
+				return [2]float64{math.Float64frombits(0x7ff8_0000_0000_0123), 5e-324}[(src+dst)%2]
+			}
+		}
+		var fsend []float64
+		for d := 0; d < n; d++ {
+			for i := 0; i < d+1; i++ {
+				fsend = append(fsend, fval(c.Rank(), d, i))
+			}
+		}
+		frecv, frc := mpi.Alltoallv(c, fsend, counts)
+		var fwant []int64
+		for src := 0; src < n; src++ {
+			if frc[src] != c.Rank()+1 {
+				panic(fmt.Sprintf("Alltoallv float64 recvCounts[%d] = %d, want %d", src, frc[src], c.Rank()+1))
+			}
+			for i := 0; i <= c.Rank(); i++ {
+				fwant = append(fwant, int64(math.Float64bits(fval(src, c.Rank(), i))))
+			}
+		}
+		assertEq64(c, "Alltoallv float64 bits", f64Bits(frecv), fwant)
 	})
 }
 
@@ -242,25 +277,21 @@ func testCollectives(t *testing.T, factory Factory) {
 func testFloatFoldBits(t *testing.T, factory Factory) {
 	const n = 4
 	contrib := func(r int) []float64 {
-		// Values chosen so a different fold order changes the low bits.
-		return []float64{0.1 * float64(r+1), 1e16, -1.0 / float64(r+3), math.Pi * float64(r)}
-	}
-	want := append([]float64(nil), contrib(0)...)
-	for r := 1; r < n; r++ {
-		for i, v := range contrib(r) {
-			want[i] += v
-		}
+		// Values chosen so a different fold order changes the low bits
+		// (Sum) or the sign of a zero (Max and Min keep the first of
+		// +0 and -0, so alternating signs expose the fold order).
+		return []float64{0.1 * float64(r+1), 1e16, -1.0 / float64(r+3), math.Pi * float64(r),
+			math.Copysign(0, float64(1-2*(r%2)))}
 	}
 	mpi.RunWorld(factory(t, n), 1, func(c *mpi.Comm) {
-		got := mpi.Allreduce(c, contrib(c.Rank()), mpi.Sum)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				panic(fmt.Sprintf("rank %d: float fold bit mismatch at %d: %x != %x",
-					c.Rank(), i, math.Float64bits(got[i]), math.Float64bits(want[i])))
+		for _, op := range []mpi.Op{mpi.Sum, mpi.Max, mpi.Min} {
+			want := make([]float64, len(contrib(0)))
+			for i := range want {
+				want[i] = refFold1(op, func(r int64) float64 { return contrib(int(r))[i] }, n)
 			}
+			got := mpi.Allreduce(c, contrib(c.Rank()), op)
+			assertEq64(c, fmt.Sprintf("float fold (op %d) bits", op), f64Bits(got), f64Bits(want))
 		}
-		fr := mpi.Allreduce(c, contrib(c.Rank()), mpi.Max)
-		_ = fr
 	})
 }
 
@@ -448,7 +479,7 @@ func testEngineDeterminism(t *testing.T, factory Factory) {
 }
 
 // refFold1 folds f(0)..f(n-1) in ascending rank order with op.
-func refFold1(op mpi.Op, f func(r int64) int64, n int) int64 {
+func refFold1[T mpi.Number](op mpi.Op, f func(r int64) T, n int) T {
 	acc := f(0)
 	for r := int64(1); r < int64(n); r++ {
 		v := f(r)
@@ -466,6 +497,16 @@ func refFold1(op mpi.Op, f func(r int64) int64, n int) int64 {
 		}
 	}
 	return acc
+}
+
+// f64Bits returns the IEEE bit patterns of vals, for bit-for-bit
+// comparisons through assertEq64.
+func f64Bits(vals []float64) []int64 {
+	out := make([]int64, len(vals))
+	for i, v := range vals {
+		out[i] = int64(math.Float64bits(v))
+	}
+	return out
 }
 
 func assertEq64(c *mpi.Comm, what string, got, want []int64) {

@@ -138,8 +138,6 @@ type matrix struct {
 	divBody    func(lo, hi, tid int)
 	foldDstIdx []int
 	foldSeg    []float64
-	divDst     []float64
-	divSrc     []float64
 	divNorm    float64
 	mulTime    time.Duration
 
@@ -182,27 +180,25 @@ type matrix struct {
 	// Norm-piggyback state (async mode, complete expand neighborhood):
 	// pendNorm is this rank's local ∞-norm contribution for the
 	// deferred normalization — max |y| of the previous multiply, 1.0
-	// before the first (dividing by it must be exact, and x/1.0 is) —
-	// and normSegs parks received expand segments until every peer's
-	// contribution has arrived and the global divisor is known.
+	// before the first (dividing by it must be exact, and x/1.0 is).
 	normPiggyback bool
 	pendNorm      float64
-	normSegs      [][]float64
 
 	// y accumulators.
 	partial []float64 // per present row
 	y       []float64 // per owned vector entry
 
 	// Reusable per-multiply wire state: the expand/fold send counts and
-	// buffers of the synchronous engine, and the per-peer staging
-	// buffer of the async engine. The schedules are fixed after build,
-	// so one warmup multiply sizes them and steady-state iterations
-	// stop allocating in the send paths.
+	// buffers of the synchronous engine, and the async engine's
+	// per-peer staging words (math.Float64bits of each value) and fold
+	// decode buffer. The schedules are fixed after build, so one warmup
+	// multiply sizes them and steady-state iterations stop allocating.
 	expandCounts []int
 	foldCounts   []int
 	expandBuf    []float64
 	foldBuf      []float64
-	peerBuf      []float64
+	peerBuf      []int64
+	foldDec      []float64
 }
 
 // nzRank maps nonzero (u, v) to its rank for the given layout.
@@ -517,52 +513,87 @@ func (m *matrix) foldSelfChunk(lo, hi, _ int) {
 	}
 }
 
-// divChunk performs the piggyback's deferred normalization on one
-// xbuf segment: divDst[j] = divSrc[j] / divNorm, disjoint per index.
+// divChunk performs the piggyback's deferred normalization in place
+// on xbuf: xbuf[j] /= divNorm, disjoint per index.
 //
 //repro:hotpath
 func (m *matrix) divChunk(lo, hi, _ int) {
-	dst, src, norm := m.divDst, m.divSrc, m.divNorm
+	buf, norm := m.xbuf, m.divNorm
 	for j := lo; j < hi; j++ {
-		dst[j] = src[j] / norm
+		buf[j] = buf[j] / norm
+	}
+}
+
+// decodeWords fills dst with the float64 values of the message words
+// (len(dst) == len(words)).
+//
+//repro:hotpath
+func decodeWords(dst []float64, words []int64) {
+	for i, w := range words {
+		dst[i] = math.Float64frombits(uint64(w))
 	}
 }
 
 // multiplyAsync is multiply on point-to-point messages: the expand and
 // fold phases each send one message per scheduled remote peer and copy
-// the self share locally. Fill and accumulation orders match the
-// synchronous engine exactly (xbuf segments are source-major, y adds
-// run in ascending source rank with the self share at its rank
-// position), so the iterated vector — and Result.Checksum — is
-// bit-identical across engines.
+// the self share locally. Values travel as their math.Float64bits
+// words on the pooled int64 path, so decoding is exact and every
+// received buffer goes back to the pool as soon as it is decoded. Fill
+// and accumulation orders match the synchronous engine exactly (xbuf
+// segments are source-major, y adds run in ascending source rank with
+// the self share at its rank position), so the iterated vector — and
+// Result.Checksum — is bit-identical across engines.
+//
+// Under the ∞-norm piggyback the vector entries travel unnormalized
+// with the sender's local norm contribution appended as one more word.
+// The receiver folds the global max over its own and every peer's
+// contribution (exact in any order — max never rounds — so it equals
+// the AllreduceScalar it replaces bit for bit) and divides xbuf in
+// place once the fold is total. The quotients are the same IEEE
+// divisions the synchronous engine performs owner-side before
+// shipping, so the numerics cannot drift.
 //
 //repro:hotpath
 func (m *matrix) multiplyAsync() int64 {
 	var volume int64
 	me := m.c.Rank()
 
-	// Expand: remote sends first (Isend is eager and never blocks),
-	// then the local copy, then the receives. Isend copies at call
+	// Expand: remote sends first (Isend64 is eager and never blocks),
+	// then the local copy, then the receives. Isend64 copies at call
 	// time, so one staging buffer serves every peer.
-	if m.normPiggyback {
-		volume += m.expandPiggyback(me)
-	} else {
-		for _, d := range m.expandOut {
-			buf := m.peerBuf[:0]
-			for _, xi := range m.expandSend[d] {
-				buf = append(buf, m.x[xi])
+	for _, d := range m.expandOut {
+		buf := m.peerBuf[:0]
+		for _, xi := range m.expandSend[d] {
+			buf = append(buf, int64(math.Float64bits(m.x[xi])))
+		}
+		if m.normPiggyback {
+			buf = append(buf, int64(math.Float64bits(m.pendNorm)))
+		}
+		m.peerBuf = buf
+		mpi.Isend64(m.c, d, buf)
+		volume += int64(len(m.expandSend[d]))
+	}
+	for i, xi := range m.expandSend[me] {
+		m.xbuf[m.colOff[me]+i] = m.x[xi]
+	}
+	norm := m.pendNorm
+	for _, s := range m.expandIn {
+		words := mpi.Recv64(m.c, s)
+		seg := m.xbuf[m.colOff[s]:m.colOff[s+1]]
+		decodeWords(seg, words[:len(seg)])
+		if m.normPiggyback {
+			if n := math.Float64frombits(uint64(words[len(seg)])); n > norm {
+				norm = n
 			}
-			m.peerBuf = buf
-			mpi.Isend(m.c, d, buf)
-			volume += int64(len(buf))
 		}
-		for i, xi := range m.expandSend[me] {
-			m.xbuf[m.colOff[me]+i] = m.x[xi]
+		m.c.Recycle64(words)
+	}
+	if m.normPiggyback {
+		if norm == 0 {
+			norm = 1 // the synchronous engine's zero-norm guard
 		}
-		for _, s := range m.expandIn {
-			seg := mpi.Irecv[float64](m.c, s).Await()
-			copy(m.xbuf[m.colOff[s]:m.colOff[s+1]], seg)
-		}
+		m.divNorm = norm
+		par.ForChunk(0, len(m.xbuf), m.threads, m.divBody)
 	}
 
 	m.localMultiply()
@@ -572,10 +603,10 @@ func (m *matrix) multiplyAsync() int64 {
 	for _, d := range m.foldOut {
 		buf := m.peerBuf[:0]
 		for _, ri := range m.foldSend[d] {
-			buf = append(buf, m.partial[ri])
+			buf = append(buf, int64(math.Float64bits(m.partial[ri])))
 		}
 		m.peerBuf = buf
-		mpi.Isend(m.c, d, buf)
+		mpi.Isend64(m.c, d, buf)
 		volume += int64(len(buf))
 	}
 	for i := range m.y {
@@ -586,61 +617,19 @@ func (m *matrix) multiplyAsync() int64 {
 			par.ForChunk(0, len(m.foldSend[me]), m.threads, m.selfBody)
 			continue
 		}
-		if len(m.foldRecv[s]) == 0 {
+		n := len(m.foldRecv[s])
+		if n == 0 {
 			continue
 		}
-		seg := mpi.Irecv[float64](m.c, s).Await()
+		if cap(m.foldDec) < n {
+			m.foldDec = make([]float64, n)
+		}
+		words := mpi.Recv64(m.c, s)
+		seg := m.foldDec[:n]
+		decodeWords(seg, words)
+		m.c.Recycle64(words)
 		m.foldDstIdx, m.foldSeg = m.foldRecv[s], seg
-		par.ForChunk(0, len(m.foldRecv[s]), m.threads, m.foldBody)
-	}
-	return volume
-}
-
-// expandPiggyback is the expand phase under the ∞-norm piggyback: the
-// vector entries travel unnormalized with the sender's local norm
-// contribution appended, the receiver folds the global max over its
-// own and every peer's contribution (exact in any order — max never
-// rounds — so it equals the AllreduceScalar it replaces bit for bit),
-// and the deferred division happens while filling xbuf. The divided
-// values are the same IEEE quotients the synchronous engine computes
-// owner-side before shipping, so the numerics cannot drift. Received
-// segments are parked in normSegs until every contribution has
-// arrived, because no entry may be divided before the fold is total.
-//
-//repro:hotpath
-func (m *matrix) expandPiggyback(me int) int64 {
-	var volume int64
-	for _, d := range m.expandOut {
-		buf := m.peerBuf[:0]
-		for _, xi := range m.expandSend[d] {
-			buf = append(buf, m.x[xi])
-		}
-		buf = append(buf, m.pendNorm)
-		m.peerBuf = buf
-		mpi.Isend(m.c, d, buf)
-		volume += int64(len(buf) - 1)
-	}
-	norm := m.pendNorm
-	m.normSegs = m.normSegs[:0]
-	for _, s := range m.expandIn {
-		seg := mpi.Irecv[float64](m.c, s).Await()
-		if n := seg[len(seg)-1]; n > norm {
-			norm = n
-		}
-		m.normSegs = append(m.normSegs, seg)
-	}
-	if norm == 0 {
-		norm = 1 // the synchronous engine's zero-norm guard
-	}
-	for i, xi := range m.expandSend[me] {
-		m.xbuf[m.colOff[me]+i] = m.x[xi] / norm
-	}
-	m.divNorm = norm
-	for si, s := range m.expandIn {
-		seg := m.normSegs[si]
-		m.divDst, m.divSrc = m.xbuf[m.colOff[s]:m.colOff[s+1]], seg
-		par.ForChunk(0, m.colOff[s+1]-m.colOff[s], m.threads, m.divBody)
-		m.normSegs[si] = nil // release the transfer copy
+		par.ForChunk(0, n, m.threads, m.foldBody)
 	}
 	return volume
 }
