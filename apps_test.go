@@ -2,6 +2,10 @@ package repro
 
 import (
 	"testing"
+
+	"repro/internal/analytics"
+	"repro/internal/dgraph"
+	"repro/internal/mpi"
 )
 
 func TestRunAnalyticsUnderAllPlacements(t *testing.T) {
@@ -13,10 +17,11 @@ func TestRunAnalyticsUnderAllPlacements(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		results, err := RunAnalytics(gen, parts, nodes, 2)
+		rep, err := RunAnalytics(Local(nodes, 0), gen, parts, AnalyticsConfig{HCSources: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
+		results := rep.Results
 		if len(results) != 6 {
 			t.Fatalf("%s: %d results", method, len(results))
 		}
@@ -40,11 +45,11 @@ func TestRunAnalyticsResultsPlacementInvariant(t *testing.T) {
 	var sccSizes, wccCounts []float64
 	for _, method := range []string{MethodVertexBlock, MethodRandom} {
 		parts, _ := Partition(method, g, nodes, 1)
-		results, err := RunAnalytics(gen, parts, nodes, 2)
+		rep, err := RunAnalytics(Local(nodes, 0), gen, parts, AnalyticsConfig{HCSources: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range results {
+		for _, r := range rep.Results {
 			switch r.Name {
 			case "SCC":
 				sccSizes = append(sccSizes, r.Value)
@@ -61,36 +66,10 @@ func TestRunAnalyticsResultsPlacementInvariant(t *testing.T) {
 	}
 }
 
-func TestRunAnalyticsValidation(t *testing.T) {
-	gen := RandER(100, 200, 1)
-	if _, err := RunAnalytics(gen, make([]int32, 50), 4, 1); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-	bad := make([]int32, 100)
-	bad[0] = 9
-	if _, err := RunAnalytics(gen, bad, 4, 1); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	// Pipeline depths below 2 (other than 0 = default) are rejected at
-	// the facade on both entry points, before any rank spawns.
-	parts := make([]int32, 100)
-	if _, err := RunAnalyticsCfg(gen, parts, AnalyticsConfig{Ranks: 4, PipeDepth: 1}); err == nil {
-		t.Fatal("expected PipeDepth validation error from RunAnalyticsCfg")
-	}
-	if _, _, err := XtraPuLPGen(gen, Config{Parts: 4, Ranks: 2, PipeDepth: -3}); err == nil {
-		t.Fatal("expected PipeDepth validation error from XtraPuLPGen")
-	}
-	// Ranks < 1 means one rank, as for XtraPuLPGen: every vertex on
-	// node 0 is then a valid assignment.
-	res, err := RunAnalyticsCfg(gen, parts, AnalyticsConfig{HCSources: 1})
-	if err != nil || len(res) != 6 {
-		t.Fatalf("Ranks: 0: %d results, err %v; want 6 results", len(res), err)
-	}
-}
-
-// Analytics results must be depth-independent through the public
-// facade: a deeper pipeline only changes HC's wave schedule, never any
-// value.
+// The facade runs the async engine at its default pipeline depth;
+// deepening the pipeline on the graph (SetPipeDepth, the only depth
+// knob) must leave every analytic's value and iteration count
+// unchanged on the same placement.
 func TestRunAnalyticsDeepPipelineMatchesDefault(t *testing.T) {
 	const nodes = 4
 	gen := RandER(512, 2048, 3)
@@ -99,21 +78,94 @@ func TestRunAnalyticsDeepPipelineMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs [2][]AnalyticResult
-	for i, depth := range []int{0, 8} {
-		runs[i], err = RunAnalyticsCfg(gen, parts, AnalyticsConfig{
-			Ranks: nodes, HCSources: 5, AsyncExchange: true, PipeDepth: depth,
-		})
-		if err != nil {
-			t.Fatalf("depth=%d: %v", depth, err)
-		}
+	rep, err := RunAnalytics(Local(nodes, 0), gen, parts, AnalyticsConfig{HCSources: 5, AsyncExchange: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range runs[0] {
-		d, e := runs[0][i], runs[1][i]
+	var deep []AnalyticResult
+	mpi.Run(nodes, func(c *mpi.Comm) {
+		dg, err := dgraph.FromEdgeChunks(c, gen.N, gen.EdgesChunk(c.Rank(), c.Size()),
+			dgraph.PartsDist{Parts: parts})
+		if err != nil {
+			// Errorf, not Fatalf: FailNow must only run on the test
+			// goroutine.
+			t.Errorf("rank %d: %v", c.Rank(), err)
+			return
+		}
+		dg.SetPipeDepth(8)
+		dg.SetAsyncExchange(true)
+		res := analytics.RunAll(dg, 5)
+		dg.Close()
+		if c.Rank() == 0 {
+			deep = res
+		}
+	})
+	if len(deep) != len(rep.Results) {
+		t.Fatalf("depth 8 gave %d results, default %d", len(deep), len(rep.Results))
+	}
+	for i := range rep.Results {
+		d, e := rep.Results[i], deep[i]
 		if d.Name != e.Name || d.Value != e.Value || d.Iterations != e.Iterations {
-			t.Errorf("%s: depth 2 (%v, %d iters) vs depth 8 (%v, %d iters)",
+			t.Errorf("%s: default depth (%v, %d iters) vs depth 8 (%v, %d iters)",
 				d.Name, d.Value, d.Iterations, e.Value, e.Iterations)
 		}
+	}
+}
+
+// Both placement-taking entry points reject a placement that does not
+// map every vertex to a rank of the world, before any rank spawns.
+func TestRunPartsValidation(t *testing.T) {
+	gen := RandER(100, 200, 1)
+	g := gen.MustBuild()
+	const ranks = 2
+	withPart := func(pt int32) []int32 {
+		parts := make([]int32, g.N)
+		parts[g.N-1] = pt
+		return parts
+	}
+	entries := []struct {
+		name string
+		run  func(parts []int32) error
+	}{
+		{"RunAnalytics", func(parts []int32) error {
+			_, err := RunAnalytics(Local(ranks, 1), gen, parts, AnalyticsConfig{HCSources: 1})
+			return err
+		}},
+		{"RunSpMV", func(parts []int32) error {
+			_, err := RunSpMV(Local(ranks, 1), g, parts, SpMVConfig{Layout: Layout1D, Iterations: 1})
+			return err
+		}},
+	}
+	placements := []struct {
+		name  string
+		parts []int32
+	}{
+		{"short", make([]int32, 5)},
+		{"long", make([]int32, g.N+1)},
+		{"part >= size", withPart(ranks)},
+		{"negative part", withPart(-1)},
+	}
+	for _, e := range entries {
+		for _, p := range placements {
+			if err := e.run(p.parts); err == nil {
+				t.Errorf("%s with a %s placement: no error", e.name, p.name)
+			}
+		}
+	}
+}
+
+// The world size bounds the placement: Local(0, …) is one rank, so an
+// all-zero placement is valid and a two-rank one is not.
+func TestRunAnalyticsValidation(t *testing.T) {
+	gen := RandER(100, 200, 1)
+	parts := make([]int32, 100)
+	rep, err := RunAnalytics(Local(0, 1), gen, parts, AnalyticsConfig{HCSources: 1})
+	if err != nil || len(rep.Results) != 6 {
+		t.Fatalf("Local(0, 1): %d results, err %v; want 6 results", len(rep.Results), err)
+	}
+	parts[0] = 1
+	if _, err := RunAnalytics(Local(0, 1), gen, parts, AnalyticsConfig{HCSources: 1}); err == nil {
+		t.Fatal("Local(0, 1): expected rank 1 to be outside the one-rank world")
 	}
 }
 
@@ -125,7 +177,7 @@ func TestRunSpMVBothLayouts(t *testing.T) {
 	}
 	var checks []float64
 	for _, layout := range []string{Layout1D, Layout2D} {
-		res, err := RunSpMV(g, parts, 4, layout, 5)
+		res, err := RunSpMV(Local(4, 0), g, parts, SpMVConfig{Layout: layout, Iterations: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", layout, err)
 		}
@@ -137,16 +189,17 @@ func TestRunSpMVBothLayouts(t *testing.T) {
 	if checks[0] != checks[1] {
 		t.Errorf("layout checksums differ: %v", checks)
 	}
-	// Ranks < 1 means one rank, as for XtraPuLPGen.
+	// Fewer than one rank means one rank.
 	one := make([]int32, g.N)
-	want, err := RunSpMV(g, one, 1, Layout1D, 5)
+	cfg := SpMVConfig{Layout: Layout1D, Iterations: 5}
+	want, err := RunSpMV(Local(1, 0), g, one, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{0, -1} {
-		res, err := RunSpMVCfg(g, one, SpMVConfig{Ranks: ranks, Layout: Layout1D, Iterations: 5})
+		res, err := RunSpMV(Local(ranks, 0), g, one, cfg)
 		if err != nil || res.Checksum != want.Checksum {
-			t.Errorf("Ranks: %d: checksum %v, err %v; want the one-rank checksum %v", ranks, res.Checksum, err, want.Checksum)
+			t.Errorf("Local(%d, 0): checksum %v, err %v; want the one-rank checksum %v", ranks, res.Checksum, err, want.Checksum)
 		}
 	}
 }
@@ -164,8 +217,8 @@ func TestRunSpMVAsyncMatchesSyncChecksum(t *testing.T) {
 	for _, layout := range []string{Layout1D, Layout2D} {
 		var res [2]SpMVResult
 		for i, async := range []bool{false, true} {
-			r, err := RunSpMVCfg(g, parts, SpMVConfig{
-				Ranks: 4, Layout: layout, Iterations: 8, AsyncExchange: async,
+			r, err := RunSpMV(Local(4, 0), g, parts, SpMVConfig{
+				Layout: layout, Iterations: 8, AsyncExchange: async,
 			})
 			if err != nil {
 				t.Fatalf("%s async=%v: %v", layout, async, err)
@@ -192,12 +245,13 @@ func TestRunAnalyticsAsyncMatchesSync(t *testing.T) {
 	}
 	var runs [2][]AnalyticResult
 	for i, async := range []bool{false, true} {
-		runs[i], err = RunAnalyticsCfg(gen, parts, AnalyticsConfig{
-			Ranks: nodes, HCSources: 2, AsyncExchange: async,
+		rep, err := RunAnalytics(Local(nodes, 0), gen, parts, AnalyticsConfig{
+			HCSources: 2, AsyncExchange: async,
 		})
 		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)
 		}
+		runs[i] = rep.Results
 	}
 	for i := range runs[0] {
 		s, a := runs[0][i], runs[1][i]
@@ -211,7 +265,7 @@ func TestRunAnalyticsAsyncMatchesSync(t *testing.T) {
 func TestRunSpMVUnknownLayout(t *testing.T) {
 	g := RandER(64, 128, 1).MustBuild()
 	parts, _ := Partition(MethodVertexBlock, g, 2, 1)
-	if _, err := RunSpMV(g, parts, 2, "3d", 1); err == nil {
+	if _, err := RunSpMV(Local(2, 0), g, parts, SpMVConfig{Layout: "3d", Iterations: 1}); err == nil {
 		t.Fatal("expected unknown-layout error")
 	}
 }
@@ -220,7 +274,7 @@ func TestXtraPuLPMoreRanksThanVertices(t *testing.T) {
 	// Some ranks own zero vertices; the collective protocol must
 	// survive empty shards.
 	g := RandER(6, 12, 1).MustBuild()
-	parts, _, err := XtraPuLP(g, Config{Parts: 2, Ranks: 8, RandomDist: true})
+	parts, _, err := XtraPuLP(Local(8, 0), FromGraph(g), Config{Parts: 2, RandomDist: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +291,7 @@ func TestXtraPuLPMoreRanksThanVertices(t *testing.T) {
 func TestXtraPuLPPartsExceedVertices(t *testing.T) {
 	// p > n collapses to p = n inside the core.
 	g := RandER(4, 8, 1).MustBuild()
-	parts, _, err := XtraPuLP(g, Config{Parts: 16, Ranks: 2})
+	parts, _, err := XtraPuLP(Local(2, 0), FromGraph(g), Config{Parts: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +304,8 @@ func TestXtraPuLPPartsExceedVertices(t *testing.T) {
 
 func TestXtraPuLPSeedsChangeOutcome(t *testing.T) {
 	g := RMAT(10, 8, 1).MustBuild()
-	a, _, _ := XtraPuLP(g, Config{Parts: 8, Ranks: 2, Seed: 1})
-	b, _, _ := XtraPuLP(g, Config{Parts: 8, Ranks: 2, Seed: 2})
+	a, _, _ := XtraPuLP(Local(2, 0), FromGraph(g), Config{Parts: 8, Seed: 1})
+	b, _, _ := XtraPuLP(Local(2, 0), FromGraph(g), Config{Parts: 8, Seed: 2})
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {

@@ -46,10 +46,11 @@ func BenchmarkTable3SpMV(b *testing.B)          { benchExperiment(b, "table3") }
 
 // Core partitioner micro-benchmarks over the main graph classes.
 
+// benchXtraPuLP partitions g on four in-process ranks per iteration.
 func benchXtraPuLP(b *testing.B, g *repro.Generator, cfg repro.Config) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := repro.XtraPuLPGen(g, cfg); err != nil {
+		if _, _, err := repro.XtraPuLP(repro.Local(4, 0), g, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,22 +58,22 @@ func benchXtraPuLP(b *testing.B, g *repro.Generator, cfg repro.Config) {
 
 func BenchmarkXtraPuLPRMAT(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(14, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true})
+		repro.Config{Parts: 16, RandomDist: true})
 }
 
 func BenchmarkXtraPuLPRandER(b *testing.B) {
 	benchXtraPuLP(b, repro.RandER(1<<14, 1<<17, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true})
+		repro.Config{Parts: 16, RandomDist: true})
 }
 
 func BenchmarkXtraPuLPRandHD(b *testing.B) {
 	benchXtraPuLP(b, repro.RandHD(1<<14, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true})
+		repro.Config{Parts: 16, RandomDist: true})
 }
 
 func BenchmarkXtraPuLPMesh(b *testing.B) {
 	benchXtraPuLP(b, repro.Mesh3D(25, 25, 25),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true})
+		repro.Config{Parts: 16, RandomDist: true})
 }
 
 // Sync-vs-async boundary exchange: the same partitioning runs with the
@@ -81,17 +82,17 @@ func BenchmarkXtraPuLPMesh(b *testing.B) {
 
 func BenchmarkXtraPuLPRMATAsyncDelta(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(14, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, AsyncExchange: true})
+		repro.Config{Parts: 16, RandomDist: true, AsyncExchange: true})
 }
 
 func BenchmarkXtraPuLPRandERAsyncDelta(b *testing.B) {
 	benchXtraPuLP(b, repro.RandER(1<<14, 1<<17, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, AsyncExchange: true})
+		repro.Config{Parts: 16, RandomDist: true, AsyncExchange: true})
 }
 
 func BenchmarkXtraPuLPMeshAsyncDelta(b *testing.B) {
 	benchXtraPuLP(b, repro.Mesh3D(25, 25, 25),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, AsyncExchange: true})
+		repro.Config{Parts: 16, RandomDist: true, AsyncExchange: true})
 }
 
 // BenchmarkXtraPuLP8Ranks* compares full end-to-end partitioning runs
@@ -104,8 +105,8 @@ func benchExchangeMode(b *testing.B, async bool) {
 	g := repro.RMAT(13, 16, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := repro.XtraPuLPGen(g, repro.Config{
-			Parts: 16, Ranks: 8, RandomDist: true, AsyncExchange: async,
+		if _, _, err := repro.XtraPuLP(repro.Local(8, 0), g, repro.Config{
+			Parts: 16, RandomDist: true, AsyncExchange: async,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -121,34 +122,34 @@ func BenchmarkXtraPuLP8RanksAsyncDelta(b *testing.B) { benchExchangeMode(b, true
 // initialization (§III.B) against the random and block alternatives.
 func BenchmarkAblationInitBFS(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(13, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, Init: 0})
+		repro.Config{Parts: 16, RandomDist: true, Init: 0})
 }
 
 func BenchmarkAblationInitRandom(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(13, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, Init: 1})
+		repro.Config{Parts: 16, RandomDist: true, Init: 1})
 }
 
 func BenchmarkAblationInitBlock(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(13, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, Init: 2})
+		repro.Config{Parts: 16, RandomDist: true, Init: 2})
 }
 
 // BenchmarkAblationMultiplier* compare the default damping schedule
 // (X=1, Y=0.25) against no damping (X=Y=0) and heavy damping (X=Y=4).
 func BenchmarkAblationMultiplierDefault(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(13, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true})
+		repro.Config{Parts: 16, RandomDist: true})
 }
 
 func BenchmarkAblationMultiplierOff(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(13, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, OverrideXY: true})
+		repro.Config{Parts: 16, RandomDist: true, OverrideXY: true})
 }
 
 func BenchmarkAblationMultiplierHeavy(b *testing.B) {
 	benchXtraPuLP(b, repro.RMAT(13, 16, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true, X: 4, Y: 4})
+		repro.Config{Parts: 16, RandomDist: true, X: 4, Y: 4})
 }
 
 // BenchmarkAblationDist* compare the random (hashed) vertex
@@ -156,12 +157,12 @@ func BenchmarkAblationMultiplierHeavy(b *testing.B) {
 // block distribution.
 func BenchmarkAblationDistRandom(b *testing.B) {
 	benchXtraPuLP(b, repro.PowerLaw(1<<13, 1<<16, 2.1, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: true})
+		repro.Config{Parts: 16, RandomDist: true})
 }
 
 func BenchmarkAblationDistBlock(b *testing.B) {
 	benchXtraPuLP(b, repro.PowerLaw(1<<13, 1<<16, 2.1, 1),
-		repro.Config{Parts: 16, Ranks: 4, RandomDist: false})
+		repro.Config{Parts: 16, RandomDist: false})
 }
 
 // Baseline partitioners on the same input for direct comparison.

@@ -24,7 +24,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -37,12 +36,11 @@ func main() {
 	seedFlag := flag.Uint64("seed", 1, "random seed for all generators and partitioners")
 	listFlag := flag.Bool("list", false, "list experiment names and exit")
 	jsonFlag := flag.Bool("json", false, "also write machine-readable results to BENCH_<experiment>.json (experiments that support it)")
-	termEpochFlag := flag.Int("term-epoch", 0, "async analytics termination epoch on incomplete rank neighborhoods: exact Allreduce every k rounds (0 = every round)")
 	pipeDepthFlag := flag.Int("pipe-depth", 0, "async exchange pipeline depth: rounds in flight per exchanger (0 = default 2; depth/2 concurrent HC waves)")
 	transportFlag := flag.String("transport", "proc", "rank substrate: proc (in-process) | env (one rank of a socket world, REPRO_* env; exchange only)")
 	threadsFlag := flag.Int("threads", 1, "intra-rank threads for analytics/SpMV sweeps (0 = one per core); with -transport env, the world's thread budget")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: experiments [-scale small|full] [-seed N] [-json] [-term-epoch K] [-pipe-depth D] [-threads T] <experiment>...|all\n")
+		fmt.Fprintf(os.Stderr, "usage: experiments [-scale small|full] [-seed N] [-json] [-pipe-depth D] [-threads T] <experiment>...|all\n")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", harness.Names)
 		flag.PrintDefaults()
 	}
@@ -80,7 +78,7 @@ func main() {
 	for _, name := range names {
 		fmt.Printf("=== %s (scale=%s seed=%d) ===\n", name, *scaleFlag, *seedFlag)
 		start := time.Now()
-		cfg := harness.Config{W: os.Stdout, Scale: scale, Seed: *seedFlag, TermEpoch: *termEpochFlag, PipeDepth: *pipeDepthFlag, Threads: *threadsFlag}
+		cfg := harness.Config{W: os.Stdout, Scale: scale, Seed: *seedFlag, PipeDepth: *pipeDepthFlag, Threads: *threadsFlag}
 		if *jsonFlag {
 			cfg.JSONPath = fmt.Sprintf("BENCH_%s.json", name)
 		}
@@ -95,8 +93,8 @@ func main() {
 // runEnvWorld runs this process as one rank of an externally launched
 // socket world (cmd/reprorun sets the rendezvous environment). Only
 // the exchange experiment has a socket form — its partitioning path
-// is collective over an external communicator (harness.ExchangeSocket)
-// — so any other name is rejected before the rendezvous, while every
+// is collective over a joined world (harness.ExchangePartition) — so
+// any other name is rejected before the rendezvous, while every
 // rank can still agree on the verdict. Rank 0 prints the table and,
 // with -json, writes the partition-only socket artifact.
 func runEnvWorld(names []string, scale harness.Scale, seed uint64, jsonOut bool, pipeDepth, threads int) {
@@ -113,16 +111,16 @@ func runEnvWorld(names []string, scale harness.Scale, seed uint64, jsonOut bool,
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	cfg := harness.Config{W: io.Discard, Scale: scale, Seed: seed, PipeDepth: pipeDepth, Threads: threads}
+	// ExchangePartition prints and writes from rank 0 only.
+	cfg := harness.Config{W: os.Stdout, Scale: scale, Seed: seed, PipeDepth: pipeDepth, Threads: threads}
+	if jsonOut {
+		cfg.JSONPath = "BENCH_exchange_socket.json"
+	}
 	if c.Rank() == 0 {
-		cfg.W = os.Stdout
 		fmt.Printf("=== exchange (scale=%s seed=%d transport=socket ranks=%d) ===\n", scale, seed, c.Size())
-		if jsonOut {
-			cfg.JSONPath = "BENCH_exchange_socket.json"
-		}
 	}
 	start := time.Now()
-	if err := harness.ExchangeSocket(c, cfg); err != nil {
+	if err := harness.ExchangePartition(repro.Joined(c), cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "exchange: %v\n", err)
 		os.Exit(1)
 	}

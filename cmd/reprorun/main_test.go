@@ -56,7 +56,7 @@ func testWorkerMain() int {
 	}
 	defer tr.Close()
 	c := mpi.NewComm(tr, 1)
-	parts, _, err := repro.XtraPuLPComm(c, mpitest.EngineGenerator(), mpitest.EngineConfig(true))
+	parts, _, err := repro.XtraPuLP(repro.Joined(c), mpitest.EngineGenerator(), mpitest.EngineConfig(true))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "worker partition:", err)
 		return 1

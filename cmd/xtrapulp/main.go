@@ -12,11 +12,12 @@
 // -gen families mirror the paper's synthetic inputs.
 //
 // -transport selects the rank substrate: "proc" (default) runs the
-// simulated in-process world, "env" makes this process one rank of an
-// externally launched socket world — it reads the REPRO_* rendezvous
-// environment (set by cmd/reprorun or any MPI-style launcher),
-// partitions collectively, and only rank 0 prints and writes output.
-// Partitions are bit-identical across transports at a fixed seed.
+// simulated in-process world of -ranks ranks, "env" makes this process
+// one rank of an externally launched socket world — it reads the
+// REPRO_* rendezvous environment (set by cmd/reprorun or any MPI-style
+// launcher), partitions collectively, and only rank 0 prints and
+// writes output. Partitions are bit-identical across transports at a
+// fixed seed and world size.
 package main
 
 import (
@@ -36,128 +37,97 @@ func main() {
 	scale := flag.Int("scale", 16, "log2 vertex count for -gen")
 	deg := flag.Int64("deg", 16, "average degree for -gen")
 	parts := flag.Int("parts", 16, "number of parts")
-	ranks := flag.Int("ranks", 4, "simulated MPI ranks")
+	ranks := flag.Int("ranks", 4, "simulated MPI ranks (-transport proc)")
 	threads := flag.Int("threads", 1, "threads per rank (0 = one per core; partitions are reproducible only at a fixed count)")
 	method := flag.String("method", repro.MethodXtraPuLP, fmt.Sprintf("partitioner: %v", repro.Methods()))
 	seed := flag.Uint64("seed", 1, "random seed")
 	single := flag.Bool("single", false, "single-constraint single-objective mode")
 	async := flag.Bool("async", false, "asynchronous delta-only boundary exchange")
-	sizeEpoch := flag.Int("size-epoch", 0, "async mode: exact size-estimate resync every N iterations (0 = auto)")
 	blockDist := flag.Bool("blockdist", false, "use block vertex distribution instead of random")
 	out := flag.String("out", "", "write per-vertex part ids to this file")
 	transport := flag.String("transport", "proc", "rank substrate: proc (in-process) | env (one rank of a socket world, REPRO_* env)")
 	flag.Parse()
 
-	if *transport == "env" {
-		runEnvRank(*graphPath, *genName, *scale, *deg, *parts, *threads, *seed,
-			*single, *async, *sizeEpoch, *blockDist, *out)
-		return
+	gn, err := generatorFor(*graphPath, *genName, *scale, *deg, *seed)
+	if err != nil {
+		fail(err)
 	}
-	if *transport != "proc" {
+	var w repro.World
+	closeWorld := func() error { return nil }
+	switch *transport {
+	case "proc":
+		w = repro.Local(*ranks, *threads)
+	case "env":
+		if *method != repro.MethodXtraPuLP {
+			fail(fmt.Errorf("xtrapulp: -transport env runs only -method %s", repro.MethodXtraPuLP))
+		}
+		c, closeComm, err := repro.SocketComm(*threads)
+		if err != nil {
+			fail(fmt.Errorf("xtrapulp: %w", err))
+		}
+		w, closeWorld = repro.Joined(c), closeComm
+	default:
 		fmt.Fprintf(os.Stderr, "xtrapulp: unknown transport %q (proc|env)\n", *transport)
 		os.Exit(2)
 	}
 
-	gn, err := generatorFor(*graphPath, *genName, *scale, *deg, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	g, err := gn.Build()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("graph %s: n=%d m=%d davg=%.1f dmax=%d\n",
-		gn.Name, g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree())
-
 	start := time.Now()
 	var assignment []int32
+	var q repro.Quality
 	if *method == repro.MethodXtraPuLP {
-		// Partition from the generator, not the built graph, so the
-		// edge-chunk order — and hence the result — is bit-identical
-		// to a -transport env run at the same seed.
+		// Partition from the generator, not a built graph: each rank
+		// generates only its edge chunk, and the chunk order — and
+		// hence the result — is the same on every transport.
 		var rep repro.Report
-		assignment, rep, err = repro.XtraPuLPGen(gn, repro.Config{
-			Parts: *parts, Ranks: *ranks, ThreadsPerRank: *threads,
-			RandomDist: !*blockDist, SingleConstraint: *single, Seed: *seed,
-			AsyncExchange: *async, SizeEpoch: *sizeEpoch,
+		assignment, rep, err = repro.XtraPuLP(w, gn, repro.Config{
+			Parts: *parts, RandomDist: !*blockDist, SingleConstraint: *single,
+			Seed: *seed, AsyncExchange: *async,
 		})
-		if err == nil {
+		if err != nil {
+			fail(err)
+		}
+		q = rep.Quality
+		if w.Rank() == 0 {
+			fmt.Printf("graph %s: n=%d ranks=%d threads=%d\n", gn.Name, gn.N, w.Size(), w.Threads())
 			fmt.Printf("stages: init=%.3fs (%d rounds) vert=%.3fs edge=%.3fs comm=%d elems (exchange %d, %d allreduces)\n",
 				rep.InitTime.Seconds(), rep.InitIters, rep.VertTime.Seconds(),
 				rep.EdgeTime.Seconds(), rep.CommVolume, rep.ExchangeVolume, rep.ReductionOps)
 		}
 	} else {
-		assignment, err = repro.Partition(*method, g, *parts, *seed)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		g, err := gn.Build()
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("graph %s: n=%d m=%d davg=%.1f dmax=%d\n",
+			gn.Name, g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree())
+		if assignment, err = repro.Partition(*method, g, *parts, *seed); err != nil {
+			fail(err)
+		}
+		q = repro.Evaluate(g, assignment, *parts)
 	}
 	elapsed := time.Since(start)
 
-	q := repro.Evaluate(g, assignment, *parts)
-	fmt.Printf("method=%s parts=%d time=%.3fs\n", *method, *parts, elapsed.Seconds())
-	fmt.Printf("edge cut ratio      %.4f  (%d of %d edges)\n", q.EdgeCutRatio, q.CutEdges, g.NumEdges())
-	fmt.Printf("scaled max cut      %.4f\n", q.ScaledMaxCutRatio)
-	fmt.Printf("vertex imbalance    %.4f\n", q.VertexImbalance)
-	fmt.Printf("edge imbalance      %.4f\n", q.EdgeImbalance)
-
-	if *out != "" {
-		if err := partition.SaveParts(*out, assignment); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-}
-
-// runEnvRank runs this process as one rank of an externally launched
-// socket world: rendezvous from the REPRO_* environment, partition
-// with XtraPuLPComm, report from rank 0.
-func runEnvRank(graphPath, genName string, scale int, deg int64, parts, threads int, seed uint64,
-	single, async bool, sizeEpoch int, blockDist bool, out string) {
-	gn, err := generatorFor(graphPath, genName, scale, deg, seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	c, closeComm, err := repro.SocketComm(threads)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xtrapulp:", err)
-		os.Exit(1)
-	}
-	start := time.Now()
-	assignment, rep, err := repro.XtraPuLPComm(c, gn, repro.Config{
-		Parts: parts, RandomDist: !blockDist, SingleConstraint: single,
-		Seed: seed, AsyncExchange: async, SizeEpoch: sizeEpoch,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if c.Rank() == 0 {
-		fmt.Printf("graph %s: n=%d ranks=%d (socket world)\n", gn.Name, gn.N, c.Size())
-		fmt.Printf("stages: init=%.3fs (%d rounds) vert=%.3fs edge=%.3fs comm=%d elems (exchange %d, %d allreduces)\n",
-			rep.InitTime.Seconds(), rep.InitIters, rep.VertTime.Seconds(),
-			rep.EdgeTime.Seconds(), rep.CommVolume, rep.ExchangeVolume, rep.ReductionOps)
-		q := rep.Quality
-		fmt.Printf("method=%s parts=%d time=%.3fs\n", repro.MethodXtraPuLP, parts, time.Since(start).Seconds())
+	if w.Rank() == 0 {
+		fmt.Printf("method=%s parts=%d time=%.3fs\n", *method, *parts, elapsed.Seconds())
 		fmt.Printf("edge cut ratio      %.4f  (%d edges cut)\n", q.EdgeCutRatio, q.CutEdges)
 		fmt.Printf("scaled max cut      %.4f\n", q.ScaledMaxCutRatio)
 		fmt.Printf("vertex imbalance    %.4f\n", q.VertexImbalance)
 		fmt.Printf("edge imbalance      %.4f\n", q.EdgeImbalance)
-		if out != "" {
-			if err := partition.SaveParts(out, assignment); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		if *out != "" {
+			if err := partition.SaveParts(*out, assignment); err != nil {
+				fail(err)
 			}
-			fmt.Printf("wrote %s\n", out)
+			fmt.Printf("wrote %s\n", *out)
 		}
 	}
 	//lint:ignore errcheck the run is complete; a teardown error cannot change the result
-	closeComm()
+	closeWorld()
+}
+
+// fail reports err and exits with status 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }
 
 // generatorFor builds the distributed run's edge-chunk generator: a

@@ -7,26 +7,26 @@ import (
 )
 
 // ExampleConfig_asyncExchange runs the same partitioning job on both
-// exchange engines: the async-delta engine with an explicit
-// size-estimate resync epoch produces the identical partition while
-// sending fewer elements and entering far fewer Allreduce barriers.
+// exchange engines: the async-delta engine produces the identical
+// partition while sending fewer elements and entering far fewer
+// Allreduce barriers.
 func ExampleConfig_asyncExchange() {
 	gen := repro.RMAT(10, 8, 1)
 
-	// ThreadsPerRank pinned serial: cross-mode bit-equality of the
-	// PARTITIONER is only promised at one thread (the analytics and
-	// SpMV are bit-identical at every thread count, the partitioner's
-	// balance stage is not).
-	sync := repro.Config{Parts: 8, Ranks: 4, ThreadsPerRank: 1, RandomDist: true, Seed: 7}
+	// One thread per rank: cross-mode bit-equality of the PARTITIONER
+	// is only promised at one thread (the analytics and SpMV are
+	// bit-identical at every thread count, the partitioner's balance
+	// stage is not).
+	world := repro.Local(4, 1)
+	sync := repro.Config{Parts: 8, RandomDist: true, Seed: 7}
 	async := sync
 	async.AsyncExchange = true // packed P2P deltas + piggybacked tallies
-	async.SizeEpoch = 4        // exact estimate resync every 4 iterations
 
-	sparts, srep, err := repro.XtraPuLPGen(gen, sync)
+	sparts, srep, err := repro.XtraPuLP(world, gen, sync)
 	if err != nil {
 		panic(err)
 	}
-	aparts, arep, err := repro.XtraPuLPGen(gen, async)
+	aparts, arep, err := repro.XtraPuLP(world, gen, async)
 	if err != nil {
 		panic(err)
 	}
@@ -55,13 +55,13 @@ func ExampleAnalyticsConfig() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := repro.RunAnalyticsCfg(gen, parts, repro.AnalyticsConfig{
-		Ranks: 4, HCSources: 2, AsyncExchange: true,
+	rep, err := repro.RunAnalytics(repro.Local(4, 0), gen, parts, repro.AnalyticsConfig{
+		HCSources: 2, AsyncExchange: true,
 	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("analytics run:", len(results))
+	fmt.Println("analytics run:", len(rep.Results))
 	// Output:
 	// analytics run: 6
 }

@@ -37,7 +37,8 @@ func main() {
 		}{m, parts})
 	}
 	xstart := time.Now()
-	xparts, _, err := repro.XtraPuLP(g, repro.Config{Parts: nodes, Ranks: nodes, RandomDist: true})
+	world := repro.Local(nodes, 0)
+	xparts, _, err := repro.XtraPuLP(world, repro.FromGraph(g), repro.Config{Parts: nodes, RandomDist: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,13 +51,13 @@ func main() {
 	fmt.Printf("%-12s %8s %8s %8s %8s %8s %8s %10s\n",
 		"placement", "HC", "KC", "LP", "PR", "SCC", "WCC", "total")
 	for _, st := range strategies {
-		results, err := repro.RunAnalytics(gen, st.parts, nodes, 4)
+		rep, err := repro.RunAnalytics(world, gen, st.parts, repro.AnalyticsConfig{HCSources: 4})
 		if err != nil {
 			log.Fatal(err)
 		}
 		var total time.Duration
 		fmt.Printf("%-12s", st.name)
-		for _, r := range results {
+		for _, r := range rep.Results {
 			fmt.Printf(" %7.3fs", r.Time.Seconds())
 			total += r.Time
 		}

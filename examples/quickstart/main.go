@@ -18,9 +18,9 @@ func main() {
 		g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree())
 
 	const parts = 8
-	assignment, rep, err := repro.XtraPuLP(g, repro.Config{
+	world := repro.Local(4, 0) // simulated MPI ranks, one worker per core
+	assignment, rep, err := repro.XtraPuLP(world, repro.FromGraph(g), repro.Config{
 		Parts:      parts,
-		Ranks:      4,    // simulated MPI ranks
 		RandomDist: true, // the paper's random vertex distribution
 	})
 	if err != nil {

@@ -20,9 +20,8 @@ func main() {
 
 	var base float64
 	for _, ranks := range []int{1, 2, 4, 8} {
-		parts, rep, err := repro.XtraPuLPGen(gen, repro.Config{
+		parts, rep, err := repro.XtraPuLP(repro.Local(ranks, 0), gen, repro.Config{
 			Parts:      16,
-			Ranks:      ranks,
 			RandomDist: true,
 		})
 		if err != nil {

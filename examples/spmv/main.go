@@ -36,7 +36,8 @@ func main() {
 			parts []int32
 		}{m, parts})
 	}
-	xparts, _, err := repro.XtraPuLP(g, repro.Config{Parts: ranks, Ranks: ranks, RandomDist: true})
+	world := repro.Local(ranks, 0)
+	xparts, _, err := repro.XtraPuLP(world, repro.FromGraph(g), repro.Config{Parts: ranks, RandomDist: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	var rand1D, x2D float64
 	for _, layout := range []string{repro.Layout1D, repro.Layout2D} {
 		for _, pt := range partitions {
-			res, err := repro.RunSpMV(g, pt.parts, ranks, layout, iters)
+			res, err := repro.RunSpMV(world, g, pt.parts, repro.SpMVConfig{Layout: layout, Iterations: iters})
 			if err != nil {
 				log.Fatal(err)
 			}

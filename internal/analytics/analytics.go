@@ -46,7 +46,7 @@ type Result struct {
 	Time time.Duration
 	// SweepTime is the wall-clock time this rank spent inside the
 	// intra-rank relaxation/expansion sweeps (the compute the
-	// ThreadsPerRank knob parallelizes), excluding communication.
+	// thread budget parallelizes), excluding communication.
 	SweepTime time.Duration
 	// Value is an analytic-specific scalar result (for example the
 	// number of components for WCC, or the largest component size).

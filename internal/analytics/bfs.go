@@ -23,7 +23,7 @@ import (
 // the interior expansion. The refresh carries the frontier size as a
 // piggybacked counter, so termination needs no per-round Allreduce on
 // complete rank neighborhoods (incomplete ones fall back to an exact
-// Allreduce every Graph.TermEpoch rounds). Levels are identical across
+// Allreduce every round). Levels are identical across
 // engines: all discoveries within a round get the same depth, so
 // expansion order cannot change results, and a boundary expansion that
 // reads a one-round-stale ghost copy can only re-discover a vertex its
@@ -184,17 +184,14 @@ func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, dep
 // globally empty frontier settles while the next — necessarily empty —
 // push round is already posted), so convergence costs one trailing
 // empty round; on incomplete neighborhoods the exact Allreduce runs
-// every e.termEpoch rounds, adding at most termEpoch-1 further empty
-// rounds. Empty rounds expand an empty frontier and therefore cannot
-// change levels.
+// every round. Empty rounds expand an empty frontier and therefore
+// cannot change levels.
 func bfsPipelined(g *dgraph.Graph, e *engine, all []int64, frontier []int32) {
 	ex := e.ex
 	pendingValues := false
 	prevLen := int64(0)
 	depth := int64(0)
-	round := 0
 	for {
-		round++
 		rd := bfsRound{next: make([]int32, 0, len(frontier))}
 		// Boundary frontier first: only boundary vertices have ghost
 		// neighbors, so this prefix feeds the push round. The previous
@@ -219,7 +216,7 @@ func bfsPipelined(g *dgraph.Graph, e *engine, all []int64, frontier []int32) {
 			pendingValues = false
 			if e.complete {
 				done = tr.Sum(0) == 0
-			} else if round%e.termEpoch == 0 {
+			} else {
 				done = mpi.AllreduceScalar(g.Comm, prevLen, mpi.Sum) == 0
 			}
 		}

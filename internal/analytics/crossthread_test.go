@@ -1,6 +1,6 @@
 // Cross-thread determinism: every analytic must produce bit-identical
 // results at every intra-rank thread count, in both exchange modes, on
-// both rank substrates. This is the contract behind the ThreadsPerRank
+// both rank substrates. This is the contract behind the threads-per-rank
 // knob — the parallel sweeps are phase-Jacobi with tid-ordered merges,
 // so chunk boundaries can never change a value — and the test is the
 // acceptance gate for it: threads {1,2,4,8} x {sync,async} x

@@ -46,8 +46,8 @@ import (
 // refresh carries is folded one cycle late (one trailing empty cycle
 // per wave, which expands nothing), and on incomplete rank
 // neighborhoods each wave falls back to its own exact Allreduce every
-// termEpoch of ITS rounds — wave round counts are identical on every
-// rank, so the collective schedule stays agreed. A finished wave goes
+// round — wave round counts are identical on every rank, so the
+// collective schedule stays agreed. A finished wave goes
 // quiet (posts nothing, flushes nothing) while its batch mates drain;
 // slots refill only at batch boundaries, which is what keeps
 // accumulation order — and therefore the float sums — deterministic.
@@ -67,7 +67,6 @@ type hcWave struct {
 	tally    [1]int64 // per-wave: BeginValues aliases it until the flush
 	prevLen  int64
 	depth    int64
-	round    int
 	pendingV bool
 	active   bool
 	done     bool
@@ -85,7 +84,7 @@ func (w *hcWave) reset(g *dgraph.Graph, src int64) {
 			w.frontier = append(w.frontier, lid)
 		}
 	}
-	w.prevLen, w.depth, w.round = 0, 0, 0
+	w.prevLen, w.depth = 0, 0
 	w.pendingV, w.done = false, false
 	w.active = true
 }
@@ -135,7 +134,6 @@ func harmonicWaves(g *dgraph.Graph, e *engine, sources []int64, hc []float64) {
 				if !w.active {
 					continue
 				}
-				w.round++
 				w.rd = bfsRound{next: make([]int32, 0, len(w.frontier))}
 				ex.SetRoundWave(slot)
 				e.expandFrontier(&w.rd, w.all, w.frontier, w.depth, bfsBoundaryOnly)
@@ -157,7 +155,7 @@ func harmonicWaves(g *dgraph.Graph, e *engine, sources []int64, hc []float64) {
 				w.pendingV = false
 				if e.complete {
 					w.done = tr.Sum(0) == 0
-				} else if w.round%e.termEpoch == 0 {
+				} else {
 					w.done = mpi.AllreduceScalar(g.Comm, w.prevLen, mpi.Sum) == 0
 				}
 			}

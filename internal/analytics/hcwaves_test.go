@@ -11,9 +11,10 @@ import (
 // Multi-wave Harmonic Centrality: the batched wave engine must be a
 // pure scheduling change — per-vertex centralities bit-identical to
 // the sequential sync-mode loop at every pipeline depth, on complete
-// and incomplete rank neighborhoods alike — while actually driving the
-// deeper pipeline (2 rounds in flight per wave) and issuing fewer
-// reductions than the sequential loop.
+// and incomplete rank neighborhoods alike, with every other analytic
+// unchanged by the depth — while actually driving the deeper pipeline
+// (2 rounds in flight per wave) and issuing fewer reductions than the
+// sequential loop.
 
 // hcReference computes the sync-mode (sequential-loop) centralities.
 func hcReference(dg *dgraph.Graph, srcs []int64) ([]float64, float64) {
@@ -55,6 +56,7 @@ func TestHCWavesBitIdenticalAcrossDepthsAndModes(t *testing.T) {
 			return
 		}
 		want, wantMax := hcReference(ref, srcs)
+		wantAll := RunAll(ref, 5)
 		ref.Close()
 
 		for _, depth := range []int{2, 3, 4, 8} {
@@ -94,6 +96,14 @@ func TestHCWavesBitIdenticalAcrossDepthsAndModes(t *testing.T) {
 				t.Errorf("rank %d depth %d: pipeline high-water mark %d, want %d (waves not overlapped)",
 					c.Rank(), depth, got, want)
 			}
+			// A deeper pipeline only changes HC's wave schedule: every
+			// analytic's value and iteration count stays the sync one.
+			for i, got := range RunAll(dg, 5) {
+				if w := wantAll[i]; got.Name != w.Name || got.Value != w.Value || got.Iterations != w.Iterations {
+					t.Errorf("rank %d depth %d: %s = (%v, %d iters), want (%v, %d iters)",
+						c.Rank(), depth, got.Name, got.Value, got.Iterations, w.Value, w.Iterations)
+				}
+			}
 			dg.Close()
 		}
 	})
@@ -101,8 +111,7 @@ func TestHCWavesBitIdenticalAcrossDepthsAndModes(t *testing.T) {
 
 // On an incomplete rank neighborhood the waves cannot piggyback their
 // termination counters and each falls back to its own exact Allreduce
-// on its private round schedule — results still bit-identical, at the
-// default epoch and with termination checks deferred.
+// on its private round schedule — results still bit-identical.
 func TestHCWavesIncompleteNeighborhoodAcrossDepths(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -133,28 +142,25 @@ func TestHCWavesIncompleteNeighborhoodAcrossDepths(t *testing.T) {
 		want, wantMax := hcReference(ref, srcs)
 		ref.Close()
 		for _, depth := range []int{2, 4} {
-			for _, termEpoch := range []int{0, 3} {
-				dg := build()
-				if dg == nil {
-					return
-				}
-				dg.SetPipeDepth(depth)
-				dg.SetTermEpoch(termEpoch)
-				dg.SetAsyncExchange(true)
-				hc, res := HarmonicCentrality(dg, srcs)
-				if res.Value != wantMax {
-					t.Errorf("rank %d depth %d epoch %d: max centrality %v, want %v",
-						c.Rank(), depth, termEpoch, res.Value, wantMax)
-				}
-				for v := 0; v < dg.NLocal; v++ {
-					if hc[v] != want[v] {
-						t.Errorf("rank %d depth %d epoch %d: hc(gid %d) = %v, want %v",
-							c.Rank(), depth, termEpoch, dg.L2G[v], hc[v], want[v])
-						break
-					}
-				}
-				dg.Close()
+			dg := build()
+			if dg == nil {
+				return
 			}
+			dg.SetPipeDepth(depth)
+			dg.SetAsyncExchange(true)
+			hc, res := HarmonicCentrality(dg, srcs)
+			if res.Value != wantMax {
+				t.Errorf("rank %d depth %d: max centrality %v, want %v",
+					c.Rank(), depth, res.Value, wantMax)
+			}
+			for v := 0; v < dg.NLocal; v++ {
+				if hc[v] != want[v] {
+					t.Errorf("rank %d depth %d: hc(gid %d) = %v, want %v",
+						c.Rank(), depth, dg.L2G[v], hc[v], want[v])
+					break
+				}
+			}
+			dg.Close()
 		}
 	})
 }

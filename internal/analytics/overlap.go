@@ -25,11 +25,7 @@ import (
 //     rank neighborhood the folded counter is the exact global count
 //     (one round stale — the price is a single trailing no-op round
 //     instead of one Allreduce per round); on incomplete neighborhoods
-//     the engine falls back to the exact Allreduce every
-//     Graph.TermEpoch rounds (default: every round), the analytics'
-//     equivalent of the partitioner's SizeEpoch resync — a fixed point
-//     reached mid-epoch costs at most TermEpoch-1 extra no-op rounds
-//     before the next check observes it.
+//     the engine falls back to the exact Allreduce every round.
 //
 // BFS additionally pipelines its rounds (two in flight, see
 // bfsPipelined), Harmonic Centrality batches whole BFS waves onto the
@@ -41,10 +37,9 @@ import (
 // run: blocking collective helpers in sync mode, split-phase delta
 // rounds with piggybacked counters in async mode.
 type engine struct {
-	g         *dgraph.Graph
-	ex        *dgraph.DeltaExchanger // non-nil in overlapped (async) mode
-	complete  bool                   // piggybacked counters are exact
-	termEpoch int                    // incomplete-neighborhood Allreduce cadence (≥1)
+	g        *dgraph.Graph
+	ex       *dgraph.DeltaExchanger // non-nil in overlapped (async) mode
+	complete bool                   // piggybacked counters are exact
 
 	// aux, when set before propagate, is an extra non-negative counter
 	// piggybacked next to the convergence counter on complete
@@ -106,7 +101,7 @@ type relaxUpd struct {
 // completeness flag is a cached read — the collective detection ran
 // when the graph's exchanger was constructed.
 func newEngine(g *dgraph.Graph) *engine {
-	e := &engine{g: g, termEpoch: g.TermEpoch(), threads: g.Comm.Threads()}
+	e := &engine{g: g, threads: g.Comm.Threads()}
 	if e.threads < 1 {
 		e.threads = 1
 	}
@@ -259,13 +254,7 @@ func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bo
 				break
 			}
 			prevLocal = local
-		} else if iters%e.termEpoch == 0 &&
-			mpi.AllreduceScalar(g.Comm, local, mpi.Sum) == 0 {
-			// Termination epochs (Graph.SetTermEpoch): between checks
-			// the rounds run unchecked, so a fixed point reached mid-
-			// epoch costs at most termEpoch-1 extra no-op rounds —
-			// which cannot change any value — before this exact
-			// Allreduce observes a zero round and stops.
+		} else if mpi.AllreduceScalar(g.Comm, local, mpi.Sum) == 0 {
 			break
 		}
 	}

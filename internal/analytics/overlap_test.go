@@ -8,12 +8,11 @@ import (
 	"repro/internal/mpi"
 )
 
-// The termination-epoch knob (Graph.SetTermEpoch) bounds the exact
-// termination Allreduce to every k-th round on incomplete rank
-// neighborhoods. Results must stay bit-identical to sync — the rounds
-// past the fixed point are global no-ops — while the reduction count
-// drops roughly k-fold.
-func TestTermEpochIncompleteNeighborhood(t *testing.T) {
+// On an incomplete rank neighborhood the piggybacked convergence
+// counters cannot reach non-neighbor ranks, so the overlapped engines
+// fall back to the exact termination Allreduce every round; results
+// must stay bit-identical to sync.
+func TestOverlappedExactFallbackIncompleteNeighborhood(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8)
 	mpi.Run(3, func(c *mpi.Comm) {
 		dg, err := dgraph.FromEdgeChunks(c, g.N, g.EdgesChunk(c.Rank(), c.Size()),
@@ -30,19 +29,8 @@ func TestTermEpochIncompleteNeighborhood(t *testing.T) {
 			return
 		}
 		sync := execCrossMode(c, dg, false)
-
-		dg.SetTermEpoch(1)
-		exact := execCrossMode(c, dg, true)
-		compareCrossMode(t, dg, sync, exact)
-
-		dg.SetTermEpoch(4)
-		epoch := execCrossMode(c, dg, true)
-		compareCrossMode(t, dg, sync, epoch)
-
-		if c.Rank() == 0 && epoch.reduce >= exact.reduce {
-			t.Errorf("TermEpoch=4 performed %d Allreduces, per-round fallback %d (want fewer)",
-				epoch.reduce, exact.reduce)
-		}
+		async := execCrossMode(c, dg, true)
+		compareCrossMode(t, dg, sync, async)
 	})
 }
 

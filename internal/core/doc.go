@@ -23,16 +23,15 @@
 //     global barriers per iteration.
 //   - ExchangeAsyncDelta: updates travel as packed per-neighbor
 //     point-to-point messages (dgraph.DeltaExchanger) posted before
-//     the propagation loop and drained concurrently with it, and the
-//     size-delta tallies piggyback on those same messages, so an
-//     iteration ends with no global barrier at all. Every rank folds
-//     its own deltas plus its neighbors' piggybacked tallies into its
-//     estimates; Options.SizeEpoch schedules exact Allreduce resyncs
-//     that bound the estimate staleness on topologies where some rank
-//     pairs share no boundary. When every rank neighbors every other —
-//     detected collectively at startup — the folded sums are already
-//     exact, resyncs are unnecessary, and the async partition matches
-//     the synchronous one bit-for-bit at equal seeds.
+//     the propagation loop and drained concurrently with it. When
+//     every rank neighbors every other — detected collectively at
+//     startup — the size-delta tallies piggyback on those same
+//     messages, each rank folds its own deltas plus its neighbors'
+//     tallies into its estimates (already the exact global sums), and
+//     an iteration ends with no global barrier at all. On topologies
+//     where some rank pairs share no boundary the settle stays an
+//     exact Allreduce. Either way the async partition matches the
+//     synchronous one bit-for-bit at equal seeds.
 //
 // Partition reports the exchanged-element volume and Allreduce count
 // of a run (Report.ExchangeVolume, Report.ReductionOps) so the two

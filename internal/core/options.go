@@ -50,12 +50,11 @@ const (
 	// this iteration as packed single-element updates over nonblocking
 	// point-to-point messages, with the receive side drained on a
 	// background goroutine while local propagation is still running.
-	// Part-size delta tallies piggyback on the same messages
-	// (SizeEpoch), retiring the per-iteration Allreduce the synchronous
-	// path pays. For fixed seeds it produces exactly the partition the
-	// synchronous path produces — guaranteed whenever the rank
-	// neighborhood graph is complete, which the partitioner detects at
-	// startup — at roughly half the exchanged-element volume.
+	// When the rank neighborhood graph is complete (detected at
+	// startup) part-size delta tallies piggyback on the same messages,
+	// retiring the per-iteration Allreduce the synchronous path pays.
+	// For fixed seeds it produces exactly the partition the synchronous
+	// path produces, at roughly half the exchanged-element volume.
 	ExchangeAsyncDelta
 )
 
@@ -95,21 +94,6 @@ type Options struct {
 	// Exchange selects the boundary-exchange implementation. All ranks
 	// must pass the same mode.
 	Exchange ExchangeMode
-	// SizeEpoch bounds the staleness of the global part-size estimates
-	// in async-delta mode. Between epochs each rank settles its
-	// estimates from its own deltas plus the tallies piggybacked on
-	// neighbor messages — no collective at all; every SizeEpoch-th
-	// inner iteration performs an exact Allreduce resync. 1 resyncs
-	// every iteration (estimates identical to sync mode on any
-	// topology). 0, the default, auto-selects: when every rank
-	// neighbors every other (detected collectively at startup, and the
-	// common case for the hashed distributions the paper favors) the
-	// piggybacked tallies are already exact global sums, so resyncs are
-	// skipped entirely; otherwise it behaves as 1. Values above 1 trade
-	// estimate staleness on incomplete topologies — and, there,
-	// divergence from the sync partition — for fewer global barriers.
-	// Ignored in sync mode.
-	SizeEpoch int
 	// Seed drives root selection and random assignments.
 	Seed uint64
 	// Trace, when non-nil, receives a TraceEvent on rank 0 after every
@@ -151,9 +135,6 @@ func (o *Options) validate() error {
 	if o.Exchange != ExchangeSync && o.Exchange != ExchangeAsyncDelta {
 		return fmt.Errorf("core: unknown exchange mode %d", int(o.Exchange))
 	}
-	if o.SizeEpoch < 0 {
-		return fmt.Errorf("core: negative SizeEpoch %d", o.SizeEpoch)
-	}
 	return nil
 }
 
@@ -180,9 +161,8 @@ type Report struct {
 	// ReductionOps is the number of Allreduce operations the stages
 	// performed (identical on every rank). Synchronous runs pay one per
 	// inner iteration to settle part-size deltas; async-delta runs
-	// piggyback the tallies on the update messages and drop to one per
-	// SizeEpoch iterations — or none between stage recounts when the
-	// rank neighborhood graph is complete.
+	// on a complete rank neighborhood piggyback the tallies on the
+	// update messages and need none between stage recounts.
 	ReductionOps int64
 	// Quality holds the final partition metrics.
 	Quality partition.Quality

@@ -17,23 +17,11 @@ type state struct {
 	// ex is the asynchronous delta exchanger, nil in sync mode.
 	ex *dgraph.DeltaExchanger
 
-	// Piggyback settle machinery (async mode only). tallyExact records
-	// whether every rank neighbors every other — detected collectively
-	// at startup — which makes the piggybacked own+neighbor tally sums
-	// exactly the global sums. epoch is the exact-resync period in
-	// settles (0 = never, piggyback alone is exact); sinceSync counts
-	// settles since the last exact sync. svBase/seBase/scBase hold the
-	// authoritative sizes at the last exact sync, and accOwn/accRecv
-	// accumulate this rank's own and neighbor-received deltas since
-	// then (layout [v | e | c], 3p elements).
+	// tallyExact records whether every rank neighbors every other —
+	// detected collectively at startup in async mode. Then the
+	// piggybacked own+neighbor tally sums are exactly the global sums,
+	// so settles ride on the update messages with no Allreduce.
 	tallyExact bool
-	epoch      int
-	sinceSync  int
-	svBase     []int64
-	seBase     []int64
-	scBase     []int64
-	accOwn     []int64
-	accRecv    []int64
 
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
@@ -94,20 +82,6 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 		// Shared with the overlapped analytics engines: collective on
 		// the first call per graph, cached after.
 		s.tallyExact = s.ex.NeighborhoodComplete()
-		s.epoch = opt.SizeEpoch
-		if s.epoch == 0 && !s.tallyExact {
-			// Piggybacked tallies miss non-neighbor ranks here; resync
-			// every settle so the estimates — and the partition — stay
-			// identical to sync mode by default.
-			s.epoch = 1
-		}
-		if s.piggyback() {
-			s.svBase = make([]int64, s.p)
-			s.seBase = make([]int64, s.p)
-			s.scBase = make([]int64, s.p)
-			s.accOwn = make([]int64, 3*s.p)
-			s.accRecv = make([]int64, 3*s.p)
-		}
 	}
 
 	var rep Report
@@ -179,8 +153,11 @@ func (s *state) storePart(v int32, w int32) {
 }
 
 // piggyback reports whether settles ride on the update messages
-// instead of a per-iteration Allreduce.
-func (s *state) piggyback() bool { return s.ex != nil && s.epoch != 1 }
+// instead of a per-iteration Allreduce: async mode on a complete rank
+// neighborhood. Elsewhere the piggybacked tallies would miss
+// non-neighbor ranks, so settles stay exact by Allreduce and the
+// partition identical to sync mode.
+func (s *state) piggyback() bool { return s.ex != nil && s.tallyExact }
 
 // roundTallyLen is the tally length the next balance/refine exchange
 // round carries: per-part vertex deltas, plus edge and cut deltas
@@ -196,8 +173,7 @@ func (s *state) roundTallyLen(withEdges bool) int {
 }
 
 // recountSizes recomputes the global part sizes sv/se/sc from current
-// assignments (used when entering a stage), and zeroes the deltas and
-// the piggyback accumulators.
+// assignments (used when entering a stage), and zeroes the deltas.
 func (s *state) recountSizes(withCut bool) {
 	local := make([]int64, 3*s.p)
 	for v := 0; v < s.g.NLocal; v++ {
@@ -218,15 +194,6 @@ func (s *state) recountSizes(withCut bool) {
 	copy(s.sc, global[2*s.p:3*s.p])
 	for i := 0; i < s.p; i++ {
 		s.cv[i], s.ce[i], s.cc[i] = 0, 0, 0
-	}
-	if s.piggyback() {
-		copy(s.svBase, s.sv)
-		copy(s.seBase, s.se)
-		copy(s.scBase, s.sc)
-		for i := range s.accOwn {
-			s.accOwn[i], s.accRecv[i] = 0, 0
-		}
-		s.sinceSync = 0
 	}
 }
 
@@ -340,8 +307,7 @@ func (s *state) takeTally(withEdges bool) []int64 {
 // queued updates (with this rank's delta tally piggybacked in async
 // piggyback mode), applies the incoming ghost updates, and settles the
 // global part-size estimates. It returns the number of vertices that
-// moved — exact under sync or exact-piggyback settles, own+neighbor
-// scope otherwise.
+// moved, exact in every mode.
 func (s *state) exchangeSettle(q []dgraph.Update, withEdges bool) int64 {
 	if !s.piggyback() {
 		s.applyGhostUpdates(s.exchange(q))
@@ -354,49 +320,20 @@ func (s *state) exchangeSettle(q []dgraph.Update, withEdges bool) int64 {
 }
 
 // settlePiggyback folds this iteration's own and neighbor-received
-// delta tallies into the size estimates, resyncing them exactly by
-// Allreduce every epoch settles. When the rank neighborhood graph is
-// complete the folded sums are already the global sums, so the
-// estimates equal sync mode's on every iteration; otherwise they may
-// omit non-neighbor deltas for at most epoch-1 settles.
+// delta tallies into the size estimates. piggyback() holds only on a
+// complete rank neighborhood, where own+received is the global delta,
+// so the estimates equal sync mode's on every iteration.
 func (s *state) settlePiggyback(own, recv []int64, withEdges bool) int64 {
-	n := len(own)
 	var moved int64
 	for i := 0; i < s.p; i++ {
-		if d := own[i] + recv[i]; d > 0 {
+		d := own[i] + recv[i]
+		if d > 0 {
 			moved += d
 		}
-	}
-	for i := 0; i < n; i++ {
-		s.accOwn[i] += own[i]
-		s.accRecv[i] += recv[i]
-	}
-	s.sinceSync++
-	if s.epoch > 0 && s.sinceSync >= s.epoch {
-		global := mpi.Allreduce(s.g.Comm, s.accOwn[:n], mpi.Sum)
-		for i := 0; i < s.p; i++ {
-			s.svBase[i] += global[i]
-			if withEdges {
-				s.seBase[i] += global[s.p+i]
-				s.scBase[i] += global[2*s.p+i]
-			}
-		}
-		for i := 0; i < n; i++ {
-			s.accOwn[i], s.accRecv[i] = 0, 0
-		}
-		s.sinceSync = 0
-		copy(s.sv, s.svBase)
+		s.sv[i] += d
 		if withEdges {
-			copy(s.se, s.seBase)
-			copy(s.sc, s.scBase)
-		}
-		return moved
-	}
-	for i := 0; i < s.p; i++ {
-		s.sv[i] = s.svBase[i] + s.accOwn[i] + s.accRecv[i]
-		if withEdges {
-			s.se[i] = s.seBase[i] + s.accOwn[s.p+i] + s.accRecv[s.p+i]
-			s.sc[i] = s.scBase[i] + s.accOwn[2*s.p+i] + s.accRecv[2*s.p+i]
+			s.se[i] += own[s.p+i] + recv[s.p+i]
+			s.sc[i] += own[2*s.p+i] + recv[2*s.p+i]
 		}
 	}
 	return moved

@@ -210,8 +210,7 @@ const MinPipeDepth = 2
 // owner, both with optional per-source tally frames (TallyRound).
 // Begin posts the sends and the drainer, so the caller can compute
 // interior work while the messages are in flight; Flush joins and
-// returns the incoming pairs. ExchangeValues and PushValues are the
-// blocking compositions behind Graph.SetAsyncExchange.
+// returns the incoming pairs.
 //
 // Rounds pipeline to the graph's configured depth (SetPipeDepth,
 // default DefaultPipeDepth): after BeginValues (or BeginPush), further
@@ -722,7 +721,7 @@ func (ex *DeltaExchanger) NeighborhoodComplete() bool {
 	return ex.complete == 1
 }
 
-// Value-flow wire format (ExchangeValues and PushValues). One message
+// Value-flow wire format (BeginValues and BeginPush). One message
 // per neighbor pair per round, all-int64:
 //
 //	[]                          no pairs this round
@@ -989,27 +988,4 @@ func (ex *DeltaExchanger) FlushPush() ([]int32, []int64, TallyRound) {
 	res := ex.join()
 	tr := TallyRound{own: own, srcs: ex.plan.sendRanks, flat: res.tallies, n: n, rank: int32(ex.g.Comm.Rank())}
 	return res.outL, res.outP, tr
-}
-
-// ExchangeValues ships full 64-bit payloads for the given owned
-// vertices to every neighbor ghosting them — the value-flow engine
-// behind ExchangeInt64/ExchangeFloat64 in async mode — and returns the
-// (ghost lid, payload) pairs received from neighbors. It is the
-// blocking composition of BeginValues and FlushValues; it must not
-// overlap a pending round.
-func (ex *DeltaExchanger) ExchangeValues(lids []int32, payloads []int64) ([]int32, []int64) {
-	ex.BeginValues(lids, payloads, nil)
-	outL, outP, _ := ex.FlushValues()
-	return outL, outP
-}
-
-// PushValues ships full 64-bit payloads for the given ghost vertices to
-// their owning ranks — the reverse flow behind PushToOwners in async
-// mode — and returns the (owned lid, payload) pairs received. It is
-// the blocking composition of BeginPush and FlushPush; it must not
-// overlap a pending round.
-func (ex *DeltaExchanger) PushValues(lids []int32, payloads []int64) ([]int32, []int64) {
-	ex.BeginPush(lids, payloads, nil)
-	outL, outP, _ := ex.FlushPush()
-	return outL, outP
 }

@@ -53,11 +53,8 @@ type Graph struct {
 	boundaryMark []bool
 	// deltaEx caches the graph's delta exchanger (AsyncExchanger).
 	deltaEx *DeltaExchanger
-	// asyncRoute, when true, routes ExchangeInt64, ExchangeFloat64, and
-	// PushToOwners through the delta engine (SetAsyncExchange).
-	asyncRoute bool
-	// termEpoch is the analytics termination-epoch knob (SetTermEpoch).
-	termEpoch int
+	// async records the exchange-engine selection (SetAsyncExchange).
+	async bool
 	// pipeDepth is the exchange-pipeline depth knob (SetPipeDepth).
 	pipeDepth int
 }
@@ -259,8 +256,7 @@ type Update struct {
 // received for this rank's ghosts (translated back to local ghost
 // ids). The asynchronous counterpart — packed per-neighbor
 // point-to-point messages over a precomputed boundary plan — lives in
-// delta.go; SetAsyncExchange selects between them for the generic
-// helpers below. Both passes over the queue — counting and buffer
+// delta.go. Both passes over the queue — counting and buffer
 // filling — run across the rank's worker threads with thread-local
 // count arrays merged at the end, exactly the scheme the paper reports
 // as faster than atomics.
@@ -416,26 +412,6 @@ func (g *Graph) Close() {
 	}
 }
 
-// SetTermEpoch bounds termination-test staleness for the overlapped
-// analytics on incomplete rank neighborhoods: every k-th round performs
-// the exact termination Allreduce, with the rounds in between running
-// unchecked — at most k-1 extra no-op rounds past the fixed point, which
-// by definition cannot change any value. 0 or 1 (the default) keeps the
-// exact per-round fallback. On complete neighborhoods the knob is
-// irrelevant: piggybacked counters already terminate without any
-// Allreduce. The analytics counterpart of core.Options.SizeEpoch; every
-// rank must set the same value.
-func (g *Graph) SetTermEpoch(k int) { g.termEpoch = k }
-
-// TermEpoch returns the termination-epoch knob (see SetTermEpoch),
-// normalized to at least 1.
-func (g *Graph) TermEpoch() int {
-	if g.termEpoch < 1 {
-		return 1
-	}
-	return g.termEpoch
-}
-
 // SetPipeDepth selects the delta exchanger's pipeline depth: how many
 // exchange rounds may be in flight at once (DeltaExchanger.Depth). The
 // depth is a CONSTRUCTION-time parameter — the pending-round FIFO and
@@ -468,61 +444,50 @@ func (g *Graph) normalizePipeDepth(d int) int {
 	return d
 }
 
-// SetAsyncExchange selects the transport behind ExchangeInt64,
-// ExchangeFloat64, and PushToOwners: false (the default) keeps the
-// bulk-synchronous Alltoallv engine, true routes them through the
-// async delta engine's packed per-neighbor messages. Every rank of the
-// communicator must select the same mode — the two transports have
+// SetAsyncExchange selects the exchange engine the graph's consumers
+// (the analytics kernels) run on: false (the default) keeps the
+// bulk-synchronous Alltoallv helpers (ExchangeInt64, ExchangeFloat64,
+// PushToOwners), true builds the async delta exchanger, whose
+// split-phase rounds the kernels drive directly. Every rank of the
+// communicator must select the same mode — the two engines have
 // different collective footprints and mixing them deadlocks, exactly
 // like mismatched collectives under MPI.
 func (g *Graph) SetAsyncExchange(on bool) {
-	g.asyncRoute = on
+	g.async = on
 	if on {
 		g.AsyncExchanger()
 	}
 }
 
-// AsyncExchange reports whether the generic exchange helpers are
-// routed through the delta engine.
-func (g *Graph) AsyncExchange() bool { return g.asyncRoute }
+// AsyncExchange reports the engine selection (see SetAsyncExchange).
+func (g *Graph) AsyncExchange() bool { return g.async }
 
 // ExchangeInt64 pushes 64-bit values (labels, core numbers, levels) for
-// the given owned vertices to the ranks ghosting them and applies the
-// symmetric incoming updates into vals (indexed by local id). The
-// transport is either the bulk-synchronous Alltoallv engine or, after
-// SetAsyncExchange(true), the delta engine's packed per-neighbor
-// point-to-point messages; results are identical either way.
+// the given owned vertices to the ranks ghosting them over the
+// bulk-synchronous Alltoallv engine and applies the symmetric incoming
+// updates into vals (indexed by local id).
 func (g *Graph) ExchangeInt64(lids []int32, vals []int64) {
 	payloads := make([]int64, len(lids))
 	for i, lid := range lids {
 		payloads[i] = vals[lid]
 	}
-	outL, outP := g.exchangeValues(lids, payloads)
+	outL, outP := g.exchangeRaw(lids, payloads)
 	for i, lid := range outL {
 		vals[lid] = outP[i]
 	}
 }
 
 // ExchangeFloat64 is ExchangeInt64 for float64 values (ranks, scores),
-// shipped bit-exactly through the same mode-selected transport.
+// shipped bit-exactly.
 func (g *Graph) ExchangeFloat64(lids []int32, vals []float64) {
 	payloads := make([]int64, len(lids))
 	for i, lid := range lids {
 		payloads[i] = int64(math.Float64bits(vals[lid]))
 	}
-	outL, outP := g.exchangeValues(lids, payloads)
+	outL, outP := g.exchangeRaw(lids, payloads)
 	for i, lid := range outL {
 		vals[lid] = math.Float64frombits(uint64(outP[i]))
 	}
-}
-
-// exchangeValues dispatches the owner → ghost value exchange to the
-// configured transport.
-func (g *Graph) exchangeValues(lids []int32, payloads []int64) ([]int32, []int64) {
-	if g.asyncRoute {
-		return g.AsyncExchanger().ExchangeValues(lids, payloads)
-	}
-	return g.exchangeRaw(lids, payloads)
 }
 
 // BoundaryVertices returns the owned local ids that have at least one
@@ -637,14 +602,10 @@ func (g *Graph) Validate() error {
 // ranks that own them — the reverse direction of the owner → ghost
 // exchanges, needed by frontier algorithms (BFS) where a rank
 // discovers vertices it does not own. It returns the received pairs
-// translated to owned local ids. Like the forward helpers it runs on
-// the mode-selected transport: Alltoallv (gid, payload) pairs by
-// default, packed per-neighbor point-to-point messages after
-// SetAsyncExchange(true).
+// translated to owned local ids. Like the forward helpers it ships
+// (gid, payload) pairs over Alltoallv; the async engine's counterpart
+// is DeltaExchanger.BeginPush/FlushPush.
 func (g *Graph) PushToOwners(lids []int32, payloads []int64) ([]int32, []int64) {
-	if g.asyncRoute {
-		return g.AsyncExchanger().PushValues(lids, payloads)
-	}
 	nprocs := g.Comm.Size()
 	sendCounts := make([]int, nprocs)
 	for _, lid := range lids {

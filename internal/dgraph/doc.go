@@ -52,14 +52,12 @@
 // released by DeltaExchanger.Close — Graph.Close calls it at teardown;
 // a finalizer exists only as a backstop for dropped exchangers.
 //
-// SetAsyncExchange routes the generic helpers (ExchangeInt64,
-// ExchangeFloat64, PushToOwners) through the delta engine; the
-// partitioner drives the update flow (Begin/Flush) directly, and the
-// overlapped analytics engines drive the split-phase value flows (BFS
-// keeping two rounds in flight, the multi-wave HC engine keeping two
-// per wave). SetTermEpoch bounds the overlapped analytics'
-// termination-Allreduce cadence on incomplete rank neighborhoods.
-// Both transports deliver identical results — the choice is pure
+// The generic helpers (ExchangeInt64, ExchangeFloat64, PushToOwners)
+// are the bulk-synchronous engine. SetAsyncExchange selects the delta
+// engine instead: the partitioner drives its update flow (Begin/Flush)
+// directly, and the overlapped analytics engines drive the split-phase
+// value flows (BFS keeping two rounds in flight, the multi-wave HC
+// engine keeping two per wave). Both engines deliver identical results — the choice is pure
 // transport, observable only in mpi.Stats traffic counters and wall
 // time.
 //

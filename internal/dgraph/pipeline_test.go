@@ -180,8 +180,8 @@ func TestPipelinedValueRoundsMatchSequential(t *testing.T) {
 // TestPipelinedMixedValuePushRounds interleaves the two value-flow
 // directions with two rounds in flight — BeginPush posted while the
 // previous BeginValues is still pending, exactly the overlapped BFS
-// schedule — and checks both directions deliver what the blocking
-// compositions deliver.
+// schedule — and checks both directions deliver what one round at a
+// time delivers.
 func TestPipelinedMixedValuePushRounds(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -204,13 +204,15 @@ func TestPipelinedMixedValuePushRounds(t *testing.T) {
 			revPayload[i] = dg.L2G[ghosts[i]] * 23
 		}
 
-		// Blocking reference.
-		wantFL, wantFP := ex.ExchangeValues(bv, fwdPayload)
+		// Sequential reference: each round flushed before the next.
+		ex.BeginValues(bv, fwdPayload, nil)
+		wantFL, wantFP, _ := ex.FlushValues()
 		refF := make([]int64, dg.NTotal())
 		for i, lid := range wantFL {
 			refF[lid] = wantFP[i]
 		}
-		wantRL, wantRP := ex.PushValues(ghosts, revPayload)
+		ex.BeginPush(ghosts, revPayload, nil)
+		wantRL, wantRP, _ := ex.FlushPush()
 		refR := make([]int64, dg.NTotal())
 		for i, lid := range wantRL {
 			refR[lid] += wantRP[i]

@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -23,9 +24,10 @@ func pairSet(lids []int32, vals []int64) [][2]int64 {
 	return out
 }
 
-// The generic value exchange must deliver exactly what the synchronous
-// Alltoallv transport delivers, for both the owner → ghost direction
-// (ExchangeInt64) and the ghost → owner direction (PushToOwners).
+// The delta engine's value flows must deliver exactly what the
+// synchronous Alltoallv helpers deliver, for both the owner → ghost
+// direction (BeginValues/FlushValues against ExchangeInt64) and the
+// ghost → owner direction (BeginPush/FlushPush against PushToOwners).
 func TestValueFlowsMatchSyncTransport(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -49,11 +51,18 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 			}
 		}
 		syncVals := append([]int64(nil), base...)
-		dg.SetAsyncExchange(false)
 		dg.ExchangeInt64(lids, syncVals)
 		asyncVals := append([]int64(nil), base...)
-		dg.SetAsyncExchange(true)
-		dg.ExchangeInt64(lids, asyncVals)
+		payloads := make([]int64, len(lids))
+		for i, lid := range lids {
+			payloads[i] = asyncVals[lid]
+		}
+		ex := dg.AsyncExchanger()
+		ex.BeginValues(lids, payloads, nil)
+		outL, outP, _ := ex.FlushValues()
+		for i, lid := range outL {
+			asyncVals[lid] = outP[i]
+		}
 		for i := range syncVals {
 			if syncVals[i] != asyncVals[i] {
 				t.Errorf("rank %d: ExchangeInt64 diverges at lid %d: sync %d async %d",
@@ -64,7 +73,7 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 
 		// Ghost → owner: a subset of ghosts with synthetic payloads.
 		var ghosts []int32
-		var payloads []int64
+		payloads = payloads[:0]
 		for i := 0; i < dg.NGhost; i++ {
 			if i%2 == 0 {
 				lid := int32(dg.NLocal + i)
@@ -72,10 +81,9 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 				payloads = append(payloads, dg.L2G[lid]*13%997)
 			}
 		}
-		dg.SetAsyncExchange(false)
 		sL, sP := dg.PushToOwners(ghosts, payloads)
-		dg.SetAsyncExchange(true)
-		aL, aP := dg.PushToOwners(ghosts, payloads)
+		ex.BeginPush(ghosts, payloads, nil)
+		aL, aP, _ := ex.FlushPush()
 		sp, ap := pairSet(sL, sP), pairSet(aL, aP)
 		if len(sp) != len(ap) {
 			t.Errorf("rank %d: PushToOwners delivered %d pairs async, %d sync", c.Rank(), len(ap), len(sp))
@@ -90,8 +98,9 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 	})
 }
 
-// ExchangeFloat64 must ship float payloads bit-exactly through the
-// delta transport.
+// Float payloads must travel bit-exactly through both engines: the
+// delta engine's value flow carries math.Float64bits words and must
+// land what ExchangeFloat64 lands.
 func TestValueFlowFloat64BitExact(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -110,10 +119,17 @@ func TestValueFlowFloat64BitExact(t *testing.T) {
 			return vals
 		}
 		syncVals, asyncVals := mk(), mk()
-		dg.SetAsyncExchange(false)
 		dg.ExchangeFloat64(bv, syncVals)
-		dg.SetAsyncExchange(true)
-		dg.ExchangeFloat64(bv, asyncVals)
+		payloads := make([]int64, len(bv))
+		for i, lid := range bv {
+			payloads[i] = int64(math.Float64bits(asyncVals[lid]))
+		}
+		ex := dg.AsyncExchanger()
+		ex.BeginValues(bv, payloads, nil)
+		outL, outP, _ := ex.FlushValues()
+		for i, lid := range outL {
+			asyncVals[lid] = math.Float64frombits(uint64(outP[i]))
+		}
 		for i := range syncVals {
 			if syncVals[i] != asyncVals[i] {
 				t.Errorf("rank %d: float payload diverges at lid %d: %v vs %v",
@@ -142,17 +158,20 @@ func TestValueFlowDenseEncodingVolume(t *testing.T) {
 			vals[v] = int64(v)
 		}
 
-		dg.SetAsyncExchange(false)
 		c.ResetStats()
 		dg.ExchangeInt64(bv, vals)
 		syncSent := c.Stats().ElemsSent
 
-		dg.SetAsyncExchange(true)
+		ex := dg.AsyncExchanger()
 		c.ResetStats()
-		dg.ExchangeInt64(bv, vals)
+		payloads := make([]int64, len(bv))
+		for i, lid := range bv {
+			payloads[i] = vals[lid]
+		}
+		ex.BeginValues(bv, payloads, nil)
+		ex.FlushValues()
 		asyncSent := c.Stats().ElemsSent
 
-		ex := dg.AsyncExchanger()
 		var want int64
 		for _, r := range ex.NeighborRanks() {
 			want += 1 + int64(len(ex.SharedSendGIDs(int(r))))

@@ -30,7 +30,8 @@ func Ablation(cfg Config) error {
 		name string
 		cfg  repro.Config
 	}
-	base := repro.Config{Parts: parts, Ranks: ranks, RandomDist: true, Seed: seed}
+	world := repro.Local(ranks, 0)
+	base := repro.Config{Parts: parts, RandomDist: true, Seed: seed}
 	variants := []variant{
 		{"default (BFS init, X=1 Y=0.25, random dist)", base},
 	}
@@ -53,7 +54,7 @@ func Ablation(cfg Config) error {
 	t := newTable(cfg.W, "Graph", "Variant", "EdgeCut", "VertImb", "EdgeImb", "Time(s)")
 	for _, tg := range graphs {
 		for _, va := range variants {
-			_, rep, err := repro.XtraPuLPGen(tg.gen, va.cfg)
+			_, rep, err := repro.XtraPuLP(world, tg.gen, va.cfg)
 			if err != nil {
 				return fmt.Errorf("ablation: %s %s: %w", tg.name, va.name, err)
 			}

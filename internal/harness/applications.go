@@ -45,8 +45,8 @@ func Fig8(cfg Config) error {
 		{"VertexBlock", partition.VertexBlock(shared, ranks)},
 	}
 	xstart := time.Now()
-	xparts, _, err := repro.XtraPuLPGen(g, repro.Config{
-		Parts: ranks, Ranks: ranks, RandomDist: true, Seed: seed,
+	xparts, _, err := repro.XtraPuLP(repro.Local(ranks, 0), g, repro.Config{
+		Parts: ranks, RandomDist: true, Seed: seed,
 		Init: core.InitBlock, // block initialization, per §V.E
 	})
 	if err != nil {
@@ -120,8 +120,8 @@ func Table3(cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("table3: %s metis: %w", tg.name, err)
 			}
-			xparts, _, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-				Parts: ranks, Ranks: ranks, RandomDist: true, Seed: seed,
+			xparts, _, err := repro.XtraPuLP(repro.Local(ranks, 0), tg.gen, repro.Config{
+				Parts: ranks, RandomDist: true, Seed: seed,
 			})
 			if err != nil {
 				return fmt.Errorf("table3: %s xtrapulp: %w", tg.name, err)

@@ -49,8 +49,8 @@ type exchangeDoc struct {
 //     measurement), and on async rows the NormPiggyback flag.
 //
 // Proc artifacts must carry all three paths; socket artifacts
-// (written by ExchangeSocket) are accepted with partition rows alone,
-// since the socket harness measures only that path.
+// (written by ExchangePartition) are accepted with partition rows
+// alone, since the socket harness measures only that path.
 func ValidateExchangeJSON(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -144,7 +144,7 @@ func ValidateExchangeJSON(path string) error {
 		}
 	}
 	// The proc harness measures all three paths in one run; the socket
-	// harness (ExchangeSocket) measures the partitioning path only —
+	// harness (ExchangePartition) measures the partitioning path only —
 	// analytics and SpMV drive in-process worlds per measurement — so
 	// a socket artifact is complete with partition rows alone. Rows it
 	// does carry from other paths are still held to their field rules

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/mpi"
 )
 
@@ -27,9 +28,9 @@ func TestExchangeJSONSchema(t *testing.T) {
 	}
 }
 
-// ExchangeSocket's artifact must validate as a partition-only socket
-// document. The function is collective over any communicator, so the
-// in-process world drives it here; the real socket world is exercised
+// ExchangePartition's artifact must validate as a partition-only
+// socket document. The function is collective over any joined world,
+// so an in-process world drives it here; the real socket world is exercised
 // by cmd/reprorun's tests and CI's reprorun-launched bench run.
 func TestExchangeSocketJSONSchema(t *testing.T) {
 	if testing.Short() {
@@ -39,7 +40,7 @@ func TestExchangeSocketJSONSchema(t *testing.T) {
 	var buf bytes.Buffer
 	var runErr error
 	mpi.Run(4, func(c *mpi.Comm) {
-		err := ExchangeSocket(c, Config{W: &buf, Scale: Small, Seed: 1, JSONPath: path})
+		err := ExchangePartition(repro.Joined(c), Config{W: &buf, Scale: Small, Seed: 1, JSONPath: path})
 		if c.Rank() == 0 {
 			runErr = err
 		}

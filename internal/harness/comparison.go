@@ -27,8 +27,8 @@ func Table2(cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("table2: %s: %w", tg.name, err)
 		}
-		_, xrep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-			Parts: parts, Ranks: ranks, RandomDist: true, Seed: seed,
+		_, xrep, err := repro.XtraPuLP(repro.Local(ranks, 0), tg.gen, repro.Config{
+			Parts: parts, RandomDist: true, Seed: seed,
 		})
 		if err != nil {
 			return fmt.Errorf("table2: %s xtrapulp: %w", tg.name, err)
@@ -68,8 +68,8 @@ func Fig3(cfg Config) error {
 	for _, tg := range representatives(cfg.Scale, seed) {
 		var base time.Duration
 		for _, r := range ranks {
-			_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-				Parts: parts, Ranks: r, RandomDist: true, Seed: seed,
+			_, rep, err := repro.XtraPuLP(repro.Local(r, 0), tg.gen, repro.Config{
+				Parts: parts, RandomDist: true, Seed: seed,
 			})
 			if err != nil {
 				return fmt.Errorf("fig3: %s r=%d: %w", tg.name, r, err)
@@ -102,8 +102,8 @@ func Fig4(cfg Config) error {
 			return fmt.Errorf("fig4: %s: %w", tg.name, err)
 		}
 		for _, p := range partCounts {
-			xparts, _, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-				Parts: p, Ranks: ranks, RandomDist: true, Seed: seed,
+			xparts, _, err := repro.XtraPuLP(repro.Local(ranks, 0), tg.gen, repro.Config{
+				Parts: p, RandomDist: true, Seed: seed,
 			})
 			if err != nil {
 				return fmt.Errorf("fig4: %s p=%d xtrapulp: %w", tg.name, p, err)
@@ -148,8 +148,8 @@ func Fig5(cfg Config) error {
 	tg := corpus(cfg.Scale, seed)[3] // wdc-proxy
 	t := newTable(cfg.W, "Ranks", "EdgeCut", "ScaledMaxCut", "EdgeImb", "VertImb")
 	for _, r := range ranks {
-		_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-			Parts: parts, Ranks: r, RandomDist: true, Seed: seed,
+		_, rep, err := repro.XtraPuLP(repro.Local(r, 0), tg.gen, repro.Config{
+			Parts: parts, RandomDist: true, Seed: seed,
 		})
 		if err != nil {
 			return fmt.Errorf("fig5: ranks=%d: %w", r, err)
@@ -189,8 +189,8 @@ func Fig6(cfg Config) error {
 		for _, p := range partCounts {
 			// XtraPuLP in single-constraint mode.
 			start := time.Now()
-			xparts, _, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-				Parts: p, Ranks: ranks, RandomDist: true, Seed: seed, SingleConstraint: true,
+			xparts, _, err := repro.XtraPuLP(repro.Local(ranks, 0), tg.gen, repro.Config{
+				Parts: p, RandomDist: true, Seed: seed, SingleConstraint: true,
 			})
 			if err != nil {
 				return fmt.Errorf("fig6: %s p=%d: %w", tg.name, p, err)
@@ -260,8 +260,8 @@ func Fig7(cfg Config) error {
 			var runs int
 			for _, tg := range graphs {
 				for _, p := range partCounts {
-					_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-						Parts: p, Ranks: ranks, RandomDist: true, Seed: seed,
+					_, rep, err := repro.XtraPuLP(repro.Local(ranks, 0), tg.gen, repro.Config{
+						Parts: p, RandomDist: true, Seed: seed,
 						OverrideXY: true, X: x, Y: y,
 					})
 					if err != nil {

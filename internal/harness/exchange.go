@@ -49,8 +49,11 @@ import (
 //
 //repro:deterministic
 func Exchange(cfg Config) error {
-	var rows []ExchangeRow
-	if err := exchangePartition(cfg, &rows); err != nil {
+	// One thread per rank: the comparison asserts the async path
+	// changes nothing but the transport, and the partitioner is
+	// bit-deterministic only at one thread.
+	rows, err := exchangePartition(repro.Local(scalePick(cfg.Scale, 4, 8), 1), cfg)
+	if err != nil {
 		return err
 	}
 	if err := exchangeAnalytics(cfg, &rows); err != nil {
@@ -62,60 +65,31 @@ func Exchange(cfg Config) error {
 	return writeExchangeJSON(cfg, rows)
 }
 
-// ExchangeSocket is the exchange comparison's partitioning path
-// measured over an externally formed socket world: every rank of the
-// world calls it with the same Config on its own communicator (see
+// ExchangePartition is the exchange comparison's partitioning path
+// alone, measured over a world formed outside the process: every rank
+// of the world calls it with the same Config on Joined(c) (see
 // repro.SocketComm), the runs are collective, and rank 0 prints the
-// table and writes cfg.JSONPath. Only the partitioning path runs —
-// the analytics and SpMV comparisons spin up one in-process world per
-// measurement (mpi.Run) and have no external-comm form — so the
-// artifact is partition-only and stamped Transport "socket";
-// ValidateExchangeJSON accepts exactly that shape for the socket
-// substrate. Edge cuts are bit-identical to the proc substrate at the
-// same seed and world size: the transport is below the engine's
-// determinism line.
+// table and writes cfg.JSONPath. The analytics and SpMV comparisons
+// spin up one in-process world per measurement and have no
+// external-world form, so the artifact is partition-only and stamped
+// Transport "socket"; ValidateExchangeJSON accepts exactly that shape
+// for the socket substrate. Edge cuts are bit-identical to the proc
+// substrate at the same seed and world size: the transport is below
+// the engine's determinism line. The sync/async cut equality and the
+// cross-substrate bit-identity both need serial partitioning, so the
+// launcher should form the world with one thread — cmd/experiments'
+// default.
 //
 //repro:deterministic
-func ExchangeSocket(c *mpi.Comm, cfg Config) error {
-	w := cfg.W
-	if c.Rank() != 0 || w == nil {
-		w = io.Discard
+func ExchangePartition(w repro.World, cfg Config) error {
+	if w.Rank() != 0 {
+		cfg.W, cfg.JSONPath = io.Discard, ""
+	} else if cfg.W == nil {
+		cfg.W = io.Discard
 	}
-	seed := cfg.seed()
-	const parts = 16
-	var rows []ExchangeRow
-	fmt.Fprintf(w, "Partitioning path over the socket transport (%d ranks):\n", c.Size())
-	t := newTable(w, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "ExchElems", "Reduction", "Allreduces", "EdgeCut")
-	for _, tg := range representatives(cfg.Scale, seed) {
-		var syncVol int64
-		for _, async := range []bool{false, true} {
-			// On external comms the communicator defines the thread
-			// budget (Config.ThreadsPerRank is ignored). The sync/async
-			// cut equality and the cross-substrate bit-identity both
-			// need serial partitioning, so the launcher should form the
-			// world with one thread — cmd/experiments' default.
-			_, rep, err := repro.XtraPuLPComm(c, tg.gen, repro.Config{
-				Parts: parts, RandomDist: true, Seed: seed,
-				AsyncExchange: async, PipeDepth: cfg.PipeDepth,
-			})
-			if err != nil {
-				return fmt.Errorf("exchange: %s async=%v: %w", tg.name, async, err)
-			}
-			mode, reduction := modeCells(async, &syncVol, rep.ExchangeVolume)
-			t.add(tg.name, fmt.Sprintf("%d", c.Size()), fmt.Sprintf("%d", c.Threads()), mode, secs(rep.TotalTime),
-				fmt.Sprintf("%d", rep.ExchangeVolume), reduction,
-				fmt.Sprintf("%d", rep.ReductionOps),
-				fmt.Sprintf("%.3f", rep.Quality.EdgeCutRatio))
-			rows = append(rows, ExchangeRow{
-				Path: "partition", Graph: tg.name, Ranks: c.Size(), Mode: mode, Threads: c.Threads(),
-				WallSeconds: rep.TotalTime.Seconds(), ExchElems: rep.ExchangeVolume,
-				Reductions: ptr(rep.ReductionOps), EdgeCut: ptr(rep.Quality.EdgeCutRatio),
-			})
-		}
-	}
-	t.flush()
-	if c.Rank() != 0 {
-		return nil
+	rows, err := exchangePartition(w, cfg)
+	if err != nil {
+		return err
 	}
 	return writeExchangeJSONAs(cfg, "socket", rows)
 }
@@ -181,9 +155,9 @@ type ExchangeRow struct {
 func ptr[T any](v T) *T { return &v }
 
 // writeExchangeJSON writes the collected rows to cfg.JSONPath (no-op
-// when unset). The harness drives in-process worlds (mpi.Run), so the
-// substrate is stamped proc; the socket-world harness
-// (ExchangeSocket) stamps its own name through writeExchangeJSONAs.
+// when unset). Exchange drives in-process worlds, so the substrate is
+// stamped proc; the external-world form (ExchangePartition) stamps its
+// own name through writeExchangeJSONAs.
 func writeExchangeJSON(cfg Config, rows []ExchangeRow) error {
 	return writeExchangeJSONAs(cfg, "proc", rows)
 }
@@ -230,40 +204,43 @@ func modeCells(async bool, syncVol *int64, vol int64) (mode, reduction string) {
 	return "async-delta", reduction
 }
 
-// exchangePartition is the partitioning-path comparison.
-func exchangePartition(cfg Config, rows *[]ExchangeRow) error {
+// exchangePartition is the partitioning-path comparison on w, with
+// the world's rank count and thread budget.
+func exchangePartition(w repro.World, cfg Config) ([]ExchangeRow, error) {
+	// Checked before any run: the analytics path would otherwise hit
+	// SetPipeDepth's panic mid-experiment.
+	if d := cfg.PipeDepth; d != 0 && d < dgraph.MinPipeDepth {
+		return nil, fmt.Errorf("exchange: PipeDepth = %d, need 0 (default) or >= %d", d, dgraph.MinPipeDepth)
+	}
 	seed := cfg.seed()
 	const parts = 16
-	ranks := scalePick(cfg.Scale, 4, 8)
+	ranks, threads := w.Size(), w.Threads()
+	var rows []ExchangeRow
 	fmt.Fprintln(cfg.W, "Partitioning path (label updates + size settles):")
 	t := newTable(cfg.W, "Graph", "Ranks", "Threads", "Mode", "Time(s)", "ExchElems", "Reduction", "Allreduces", "EdgeCut")
 	for _, tg := range representatives(cfg.Scale, seed) {
 		var syncVol int64
 		for _, async := range []bool{false, true} {
-			// ThreadsPerRank pinned serial: the comparison asserts the
-			// async path changes nothing but the transport, and the
-			// partitioner is bit-deterministic only at one thread.
-			_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-				Parts: parts, Ranks: ranks, ThreadsPerRank: 1, RandomDist: true, Seed: seed,
-				AsyncExchange: async, PipeDepth: cfg.PipeDepth,
+			_, rep, err := repro.XtraPuLP(w, tg.gen, repro.Config{
+				Parts: parts, RandomDist: true, Seed: seed, AsyncExchange: async,
 			})
 			if err != nil {
-				return fmt.Errorf("exchange: %s async=%v: %w", tg.name, async, err)
+				return nil, fmt.Errorf("exchange: %s async=%v: %w", tg.name, async, err)
 			}
 			mode, reduction := modeCells(async, &syncVol, rep.ExchangeVolume)
-			t.add(tg.name, fmt.Sprintf("%d", ranks), "1", mode, secs(rep.TotalTime),
+			t.add(tg.name, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", threads), mode, secs(rep.TotalTime),
 				fmt.Sprintf("%d", rep.ExchangeVolume), reduction,
 				fmt.Sprintf("%d", rep.ReductionOps),
 				fmt.Sprintf("%.3f", rep.Quality.EdgeCutRatio))
-			*rows = append(*rows, ExchangeRow{
-				Path: "partition", Graph: tg.name, Ranks: ranks, Mode: mode, Threads: 1,
+			rows = append(rows, ExchangeRow{
+				Path: "partition", Graph: tg.name, Ranks: ranks, Mode: mode, Threads: threads,
 				WallSeconds: rep.TotalTime.Seconds(), ExchElems: rep.ExchangeVolume,
 				Reductions: ptr(rep.ReductionOps), EdgeCut: ptr(rep.Quality.EdgeCutRatio),
 			})
 		}
 	}
 	t.flush()
-	return nil
+	return rows, nil
 }
 
 // allocRounds is how many steady-state value rounds the allocation
@@ -384,7 +361,6 @@ func exchangeAnalytics(cfg Config, rows *[]ExchangeRow) error {
 				}
 				dg.SetPipeDepth(cfg.PipeDepth)
 				dg.SetAsyncExchange(async)
-				dg.SetTermEpoch(cfg.TermEpoch)
 				c.ResetStats()
 				start := time.Now()
 				_, prRes := analytics.PageRank(dg, prIters, 0.85)

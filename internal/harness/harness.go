@@ -55,18 +55,12 @@ type Config struct {
 	// to this file, so benchmark trajectories can be tracked across
 	// commits.
 	JSONPath string
-	// TermEpoch is forwarded to the analytics runs of experiments that
-	// drive the async engine (currently exchange): on incomplete rank
-	// neighborhoods the overlapped analytics perform their exact
-	// termination Allreduce every TermEpoch-th round instead of every
-	// round (see repro.AnalyticsConfig.TermEpoch). 0 keeps the exact
-	// per-round default.
-	TermEpoch int
 	// PipeDepth is forwarded to the async exchange engine of
 	// experiments that drive it (currently exchange): how many rounds
 	// of boundary messages may be in flight per exchanger (0 = default
-	// 2; see repro.AnalyticsConfig.PipeDepth). Depths >= 4 run HC as
-	// PipeDepth/2 concurrent BFS waves.
+	// 2; see dgraph.Graph.SetPipeDepth). Depths >= 4 run HC as
+	// PipeDepth/2 concurrent BFS waves. The partitioner never has more
+	// than one round in flight, so its path ignores the knob.
 	PipeDepth int
 	// Threads is the intra-rank thread budget forwarded to the
 	// analytics and SpMV worlds of experiments that drive them

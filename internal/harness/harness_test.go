@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // quickExperiments are the table/figure reproductions cheap enough
@@ -46,6 +48,18 @@ func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("nope", Config{W: &buf}); err == nil {
 		t.Fatal("expected error for unknown experiment")
+	}
+}
+
+// A pipeline depth the exchange engine rejects must come back as an
+// error on both exchange entry points, before any world runs.
+func TestExchangeRejectsShallowPipeDepth(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Exchange(Config{W: &buf, PipeDepth: 1}); err == nil {
+		t.Error("Exchange: expected an error for PipeDepth 1")
+	}
+	if err := ExchangePartition(repro.Local(2, 1), Config{W: &buf, PipeDepth: -3}); err == nil {
+		t.Error("ExchangePartition: expected an error for PipeDepth -3")
 	}
 }
 

@@ -58,8 +58,8 @@ func Fig1(cfg Config) error {
 	for _, tg := range graphs {
 		var base time.Duration
 		for _, r := range ranks {
-			_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-				Parts: parts, Ranks: r, RandomDist: true, Seed: seed,
+			_, rep, err := repro.XtraPuLP(repro.Local(r, 0), tg.gen, repro.Config{
+				Parts: parts, RandomDist: true, Seed: seed,
 			})
 			if err != nil {
 				return fmt.Errorf("fig1: %s ranks=%d: %w", tg.name, r, err)
@@ -99,8 +99,8 @@ func Fig2(cfg Config) error {
 				default:
 					g = gen.RandHD(n, davg, seed)
 				}
-				_, rep, err := repro.XtraPuLPGen(g, repro.Config{
-					Parts: r, Ranks: r, RandomDist: true, Seed: seed,
+				_, rep, err := repro.XtraPuLP(repro.Local(r, 0), g, repro.Config{
+					Parts: r, RandomDist: true, Seed: seed,
 				})
 				if err != nil {
 					return fmt.Errorf("fig2: %s d=%d r=%d: %w", family, davg, r, err)
@@ -130,8 +130,8 @@ func Trillion(cfg Config) error {
 		{name: "RMAT", gen: gen.RMAT(log2(n), 16, seed+2)}, // half the edges, as in the paper
 	}
 	for _, tg := range gens {
-		_, rep, err := repro.XtraPuLPGen(tg.gen, repro.Config{
-			Parts: ranks, Ranks: ranks, RandomDist: true, Seed: seed,
+		_, rep, err := repro.XtraPuLP(repro.Local(ranks, 0), tg.gen, repro.Config{
+			Parts: ranks, RandomDist: true, Seed: seed,
 		})
 		if err != nil {
 			return fmt.Errorf("trillion: %s: %w", tg.name, err)

@@ -32,12 +32,10 @@ var arenaSources = map[callee][]int{
 	{mpiPath, "Transport", "Recv64"}:       {0},
 	{mpiPath, "SocketTransport", "Recv64"}: {0},
 
-	{dgraphPath, "DeltaExchanger", "Flush"}:          {0},
-	{dgraphPath, "DeltaExchanger", "FlushTally"}:     {0, 1},
-	{dgraphPath, "DeltaExchanger", "FlushValues"}:    {0, 1},
-	{dgraphPath, "DeltaExchanger", "FlushPush"}:      {0, 1},
-	{dgraphPath, "DeltaExchanger", "ExchangeValues"}: {0, 1},
-	{dgraphPath, "DeltaExchanger", "PushValues"}:     {0, 1},
+	{dgraphPath, "DeltaExchanger", "Flush"}:       {0},
+	{dgraphPath, "DeltaExchanger", "FlushTally"}:  {0, 1},
+	{dgraphPath, "DeltaExchanger", "FlushValues"}: {0, 1},
+	{dgraphPath, "DeltaExchanger", "FlushPush"}:   {0, 1},
 }
 
 func runArenaEscape(pass *Pass) {

@@ -65,17 +65,15 @@ var collectiveFuncs = map[callee]bool{
 	{mpiPath, "SocketTransport", "AlltoallvI64"}:  true,
 	{mpiPath, "SocketTransport", "AlltoallvF64"}:  true,
 
-	{dgraphPath, "DeltaExchanger", "Begin"}:          true,
-	{dgraphPath, "DeltaExchanger", "BeginTally"}:     true,
-	{dgraphPath, "DeltaExchanger", "BeginValues"}:    true,
-	{dgraphPath, "DeltaExchanger", "BeginPush"}:      true,
-	{dgraphPath, "DeltaExchanger", "Flush"}:          true,
-	{dgraphPath, "DeltaExchanger", "FlushTally"}:     true,
-	{dgraphPath, "DeltaExchanger", "FlushValues"}:    true,
-	{dgraphPath, "DeltaExchanger", "FlushPush"}:      true,
-	{dgraphPath, "DeltaExchanger", "ExchangeValues"}: true,
-	{dgraphPath, "DeltaExchanger", "PushValues"}:     true,
-	{dgraphPath, "DeltaExchanger", "Close"}:          true,
+	{dgraphPath, "DeltaExchanger", "Begin"}:       true,
+	{dgraphPath, "DeltaExchanger", "BeginTally"}:  true,
+	{dgraphPath, "DeltaExchanger", "BeginValues"}: true,
+	{dgraphPath, "DeltaExchanger", "BeginPush"}:   true,
+	{dgraphPath, "DeltaExchanger", "Flush"}:       true,
+	{dgraphPath, "DeltaExchanger", "FlushTally"}:  true,
+	{dgraphPath, "DeltaExchanger", "FlushValues"}: true,
+	{dgraphPath, "DeltaExchanger", "FlushPush"}:   true,
+	{dgraphPath, "DeltaExchanger", "Close"}:       true,
 
 	{dgraphPath, "Graph", "NewDeltaExchanger"}: true,
 	{dgraphPath, "Graph", "AsyncExchanger"}:    true,

@@ -99,7 +99,7 @@ func TestFaultDelayedFrames(t *testing.T) {
 			})
 			var parts []int32
 			mpi.RunWorld(ts, 1, func(c *mpi.Comm) {
-				p, _, err := repro.XtraPuLPComm(c, gen, EngineConfig(true))
+				p, _, err := repro.XtraPuLP(repro.Joined(c), gen, EngineConfig(true))
 				if err != nil {
 					panic(err)
 				}
@@ -331,7 +331,7 @@ func multiProcessWorker(t *testing.T) {
 	}
 	defer tr.Close()
 	c := mpi.NewComm(tr, 1)
-	parts, _, err := repro.XtraPuLPComm(c, EngineGenerator(), EngineConfig(true))
+	parts, _, err := repro.XtraPuLP(repro.Joined(c), EngineGenerator(), EngineConfig(true))
 	if err != nil {
 		t.Fatalf("worker partition: %v", err)
 	}

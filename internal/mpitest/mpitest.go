@@ -390,12 +390,12 @@ const (
 )
 
 // EngineConfig returns the partitioner configuration of the engine
-// determinism subtest; the multi-process worker must run exactly this.
+// determinism subtest; the multi-process worker must run exactly this,
+// on a world of one thread per rank: the subtest compares partitions
+// across transports and processes, and the partitioner is only
+// bit-deterministic at one thread.
 func EngineConfig(async bool) repro.Config {
-	// ThreadsPerRank pinned serial: the subtest compares partitions
-	// across transports and processes, and the partitioner is only
-	// bit-deterministic at one thread.
-	return repro.Config{Parts: engineParts, ThreadsPerRank: 1, RandomDist: true, Seed: enginePSeeed, AsyncExchange: async}
+	return repro.Config{Parts: engineParts, RandomDist: true, Seed: enginePSeeed, AsyncExchange: async}
 }
 
 // EngineGenerator returns the fixed graph generator of the engine
@@ -407,9 +407,7 @@ func EngineGenerator() *repro.Generator {
 // EngineReference computes the partition on the in-process reference
 // transport with the synchronous exchange engine.
 func EngineReference(tb testing.TB) []int32 {
-	cfg := EngineConfig(false)
-	cfg.Ranks = engineRanks
-	parts, _, err := repro.XtraPuLPGen(EngineGenerator(), cfg)
+	parts, _, err := repro.XtraPuLP(repro.Local(engineRanks, 1), EngineGenerator(), EngineConfig(false))
 	if err != nil {
 		tb.Fatalf("reference partition: %v", err)
 	}
@@ -419,7 +417,8 @@ func EngineReference(tb testing.TB) []int32 {
 // testEngineDeterminism runs the full partitioner over the transport
 // under test, in both exchange modes, and requires bit-identical
 // partitions against the in-process synchronous reference; then runs
-// the analytics and requires identical results.
+// the analytics and SpMV and requires results identical to the
+// in-process runs.
 func testEngineDeterminism(t *testing.T, factory Factory) {
 	ref := EngineReference(t)
 	gen := EngineGenerator()
@@ -427,7 +426,7 @@ func testEngineDeterminism(t *testing.T, factory Factory) {
 	for _, async := range []bool{false, true} {
 		var parts []int32
 		mpi.RunWorld(factory(t, engineRanks), 1, func(c *mpi.Comm) {
-			p, _, err := repro.XtraPuLPComm(c, gen, EngineConfig(async))
+			p, _, err := repro.XtraPuLP(repro.Joined(c), gen, EngineConfig(async))
 			if err != nil {
 				panic(err)
 			}
@@ -451,13 +450,13 @@ func testEngineDeterminism(t *testing.T, factory Factory) {
 	for v, p := range ref {
 		nodes[v] = p % engineRanks
 	}
-	wantRep, err := repro.RunAnalyticsReport(gen, nodes, repro.AnalyticsConfig{Ranks: engineRanks, HCSources: 4})
+	wantRep, err := repro.RunAnalytics(repro.Local(engineRanks, 0), gen, nodes, repro.AnalyticsConfig{HCSources: 4})
 	if err != nil {
 		t.Fatalf("reference analytics: %v", err)
 	}
 	var gotRep repro.AnalyticsReport
 	mpi.RunWorld(factory(t, engineRanks), 1, func(c *mpi.Comm) {
-		rep, err := repro.RunAnalyticsComm(c, gen, nodes, repro.AnalyticsConfig{HCSources: 4})
+		rep, err := repro.RunAnalytics(repro.Joined(c), gen, nodes, repro.AnalyticsConfig{HCSources: 4})
 		if err != nil {
 			panic(err)
 		}
@@ -474,6 +473,33 @@ func testEngineDeterminism(t *testing.T, factory Factory) {
 			math.Float64bits(got.Value) != math.Float64bits(want.Value) {
 			t.Fatalf("analytics %s diverges: got (%d iters, %v), want (%d iters, %v)",
 				want.Name, got.Iterations, got.Value, want.Iterations, want.Value)
+		}
+	}
+
+	// SpMV on the same placement: both layouts and both engines must
+	// reproduce the in-process checksum bit for bit.
+	g := gen.MustBuild()
+	for _, layout := range []string{repro.Layout1D, repro.Layout2D} {
+		for _, async := range []bool{false, true} {
+			cfg := repro.SpMVConfig{Layout: layout, Iterations: 5, AsyncExchange: async}
+			want, err := repro.RunSpMV(repro.Local(engineRanks, 0), g, nodes, cfg)
+			if err != nil {
+				t.Fatalf("reference spmv %s async=%v: %v", layout, async, err)
+			}
+			var got repro.SpMVResult
+			mpi.RunWorld(factory(t, engineRanks), 1, func(c *mpi.Comm) {
+				res, err := repro.RunSpMV(repro.Joined(c), g, nodes, cfg)
+				if err != nil {
+					panic(err)
+				}
+				if c.Rank() == 0 {
+					got = res
+				}
+			})
+			if math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
+				t.Fatalf("spmv %s async=%v checksum diverges: got %v, want %v",
+					layout, async, got.Checksum, want.Checksum)
+			}
 		}
 	}
 }

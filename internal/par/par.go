@@ -22,8 +22,9 @@ func DefaultThreads() int {
 // ResolveThreads normalizes a thread-count knob to the repo-wide rule:
 // any value <= 0 selects DefaultThreads() (one worker per core), and a
 // positive value — including the bit-reproducible serial 1 — is taken
-// as given. Every ThreadsPerRank/-threads knob routes through this so
-// the facade, pulp, analytics, and SpMV agree on what 0 means.
+// as given. Every thread-budget knob (repro.Local, -threads) routes
+// through this so the facade, pulp, analytics, and SpMV agree on what
+// 0 means.
 func ResolveThreads(n int) int {
 	if n <= 0 {
 		return DefaultThreads()

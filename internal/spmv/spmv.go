@@ -102,7 +102,7 @@ type Result struct {
 	Checksum float64
 	// MultiplyTime is the wall clock this rank spent inside the local
 	// row-sum kernel (localMultiply) across all iterations — the
-	// compute the ThreadsPerRank knob parallelizes, excluding all
+	// compute the thread budget parallelizes, excluding all
 	// communication.
 	MultiplyTime time.Duration
 	// Reductions is the number of Allreduce operations this rank
@@ -229,6 +229,9 @@ func gridDims(p int) (pr, pc int) {
 func build(c *mpi.Comm, g *graph.Graph, parts []int32, layout Layout) (*matrix, error) {
 	p := c.Size()
 	me := c.Rank()
+	if int64(len(parts)) != g.N {
+		return nil, fmt.Errorf("spmv: %d part assignments for %d vertices", len(parts), g.N)
+	}
 	for v := int64(0); v < g.N; v++ {
 		if int(parts[v]) >= p || parts[v] < 0 {
 			return nil, fmt.Errorf("spmv: vertex %d part %d outside [0,%d)", v, parts[v], p)

@@ -159,6 +159,9 @@ func TestRejectsBadPartition(t *testing.T) {
 		if _, err := Run(c, g, parts, Options{Layout: OneD, Iterations: 1}); err == nil {
 			t.Error("expected error for out-of-range part id")
 		}
+		if _, err := Run(c, g, make([]int32, 5), Options{Layout: OneD, Iterations: 1}); err == nil {
+			t.Error("expected error for a short partition")
+		}
 	})
 }
 

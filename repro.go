@@ -10,10 +10,13 @@
 //
 // This file is the public facade: graph generation, one-call
 // partitioning with any of the paper's methods, quality evaluation,
-// and distributed runs. The building blocks live under internal/.
+// and distributed runs. Each distributed workload has one entry point
+// (XtraPuLP, RunAnalytics, RunSpMV) over a World: Local for in-process
+// goroutine ranks, Joined for one rank of an externally formed world.
+// The building blocks live under internal/.
 //
 //	g := repro.RMAT(16, 16, 1).MustBuild()
-//	parts, rep, err := repro.XtraPuLP(g, repro.Config{Parts: 16, Ranks: 4})
+//	parts, rep, err := repro.XtraPuLP(repro.Local(4, 1), repro.FromGraph(g), repro.Config{Parts: 16})
 //	q := repro.Evaluate(g, parts, 16)
 package repro
 
@@ -71,20 +74,78 @@ func Evaluate(g *Graph, parts []int32, p int) Quality {
 	return partition.Evaluate(g, parts, p)
 }
 
+// World is the set of ranks a distributed run executes on. Build one
+// with Local (in-process goroutine ranks) or Joined (one rank of a
+// world formed outside the call). The zero World is Local(1, 0).
+type World struct {
+	ranks, threads int
+	comm           *mpi.Comm // non-nil for Joined
+}
+
+// Local is an in-process world of ranks goroutine ranks (fewer than
+// one means one) with threads workers each. The repo-wide thread rule:
+// 0 (or negative) selects one worker per core (par.DefaultThreads), an
+// explicit 1 runs serial. The partitioner's propagation RNG streams
+// are keyed by thread id, so its partition depends on the thread count
+// — deterministic for a fixed count, different across counts. Pin an
+// explicit value when partitions must reproduce across machines;
+// analytics values and SpMV checksums are bit-identical at every
+// thread count.
+func Local(ranks, threads int) World { return World{ranks: ranks, threads: threads} }
+
+// Joined is the calling rank of a world formed outside the call: each
+// OS process of a socket world (SocketComm) or each rank body of an
+// mpi.RunWorld. Every rank of the world must make the same facade
+// calls, as with any collective. The communicator defines the world
+// size and the thread budget.
+func Joined(c *mpi.Comm) World { return World{comm: c} }
+
+// Size is the number of ranks in the world.
+func (w World) Size() int {
+	if w.comm != nil {
+		return w.comm.Size()
+	}
+	return max(w.ranks, 1)
+}
+
+// Rank is the calling rank: the communicator's on a Joined world, 0 on
+// a Local world (whose entry points return rank 0's results).
+func (w World) Rank() int {
+	if w.comm != nil {
+		return w.comm.Rank()
+	}
+	return 0
+}
+
+// Threads is the intra-rank thread budget, resolved (at least 1).
+func (w World) Threads() int {
+	if w.comm != nil {
+		return w.comm.Threads()
+	}
+	return par.ResolveThreads(w.threads)
+}
+
+// runOn runs body on every rank of w and returns the calling rank's
+// result: rank 0's on a Local world.
+func runOn[T any](w World, body func(c *mpi.Comm) (T, error)) (T, error) {
+	if w.comm != nil {
+		return body(w.comm)
+	}
+	var out T
+	var runErr error
+	mpi.RunThreads(w.Size(), w.Threads(), func(c *mpi.Comm) {
+		r, err := body(c)
+		if c.Rank() == 0 {
+			out, runErr = r, err
+		}
+	})
+	return out, runErr
+}
+
 // Config drives a distributed XtraPuLP run.
 type Config struct {
 	// Parts is the number of parts to compute (required).
 	Parts int
-	// Ranks is the number of simulated MPI ranks (default 1).
-	Ranks int
-	// ThreadsPerRank is the intra-rank thread budget. The repo-wide
-	// rule: 0 (or negative) selects one worker per core
-	// (par.DefaultThreads), an explicit 1 runs serial. The partitioner's
-	// propagation RNG streams are keyed by thread id, so the partition
-	// depends on the thread count — deterministic for a fixed count,
-	// different across counts. Pin an explicit value when partitions
-	// must reproduce across machines.
-	ThreadsPerRank int
 	// RandomDist selects the hashed (random) vertex distribution
 	// instead of block; the paper observes random scales better for
 	// irregular graphs.
@@ -96,30 +157,14 @@ type Config struct {
 	// synchronous Alltoallv to the asynchronous delta-only path:
 	// changed labels travel as packed single-element updates over
 	// nonblocking point-to-point messages, drained concurrently with
-	// local propagation, and per-part size tallies piggyback on the
-	// same messages so iterations need no global Allreduce barrier
-	// (see SizeEpoch). The final partition is identical for fixed
-	// seeds, and the exchanged-element volume is strictly lower. The
-	// analytics and SpMV paths select the same engine through
-	// AnalyticsConfig.AsyncExchange and SpMVConfig.AsyncExchange.
+	// local propagation, and — when every rank neighbors every other —
+	// per-part size tallies piggyback on the same messages so
+	// iterations need no global Allreduce barrier. The final partition
+	// is identical for fixed seeds, and the exchanged-element volume is
+	// strictly lower. The analytics and SpMV paths select the same
+	// engine through AnalyticsConfig.AsyncExchange and
+	// SpMVConfig.AsyncExchange.
 	AsyncExchange bool
-	// PipeDepth sets the async exchange engine's pipeline depth — how
-	// many rounds of boundary messages may be in flight per exchanger
-	// at once (0 = default 2; values 1 and below rejected). The
-	// partitioner's own schedule never pipelines past 2, but the knob
-	// travels with the graph, so analytics run on the same shards (and
-	// the exchange experiment) inherit it. Ignored in sync mode. See
-	// AnalyticsConfig.PipeDepth for the depth/2-wave HC engine it
-	// enables.
-	PipeDepth int
-	// SizeEpoch bounds part-size estimate staleness in async mode:
-	// every SizeEpoch-th iteration performs an exact Allreduce resync,
-	// with settles in between derived purely from piggybacked neighbor
-	// tallies. 0 (default) auto-selects: no resyncs at all when every
-	// rank neighbors every other (the tallies are already exact global
-	// sums), one per iteration otherwise so partitions always match
-	// sync mode bit-for-bit. See core.Options.SizeEpoch.
-	SizeEpoch int
 	// Init selects the initialization strategy; zero value is the
 	// paper's BFS hybrid.
 	Init core.InitStrategy
@@ -135,7 +180,7 @@ type Config struct {
 
 // Report describes one distributed partitioning run.
 type Report struct {
-	// Stage times from rank 0.
+	// Stage times from the reporting rank.
 	InitTime, VertTime, EdgeTime, TotalTime time.Duration
 	// InitIters is the number of initialization propagation rounds.
 	InitIters int
@@ -150,60 +195,37 @@ type Report struct {
 	ExchangeVolume int64
 	// ReductionOps is the number of Allreduce operations the
 	// partitioning stages performed. Synchronous runs pay one per inner
-	// iteration; async runs piggyback the tallies on the boundary
-	// messages and drop to one per SizeEpoch iterations, or none
-	// between stage recounts on complete rank neighborhoods.
+	// iteration; async runs on complete rank neighborhoods piggyback
+	// the tallies on the boundary messages and need none between stage
+	// recounts.
 	ReductionOps int64
 }
 
-// XtraPuLP partitions g with the paper's distributed partitioner on
-// cfg.Ranks simulated MPI ranks and returns the global part assignment
-// indexed by vertex id.
-func XtraPuLP(g *Graph, cfg Config) ([]int32, Report, error) {
-	gen := staticGenerator(g)
-	return XtraPuLPGen(gen, cfg)
-}
-
-// XtraPuLPGen is XtraPuLP driven by a generator: each rank generates
-// only its chunk of the edge list, so no rank ever materializes the
-// whole graph — the paper's actual usage mode at scale.
-func XtraPuLPGen(g *Generator, cfg Config) ([]int32, Report, error) {
-	ranks := cfg.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
-	threads := par.ResolveThreads(cfg.ThreadsPerRank)
-	var parts []int32
-	var rep Report
-	var runErr error
-	mpi.RunThreads(ranks, threads, func(c *mpi.Comm) {
-		p, r, err := XtraPuLPComm(c, g, cfg)
-		if c.Rank() == 0 {
-			parts, rep, runErr = p, r, err
-		}
-	})
-	if runErr != nil {
-		return nil, Report{}, runErr
-	}
-	return parts, rep, nil
-}
-
-// XtraPuLPComm is the per-rank body of XtraPuLPGen: it runs this
-// rank's share of the distributed partitioner on an existing
-// communicator — the entry point for externally formed worlds, where
-// each OS process builds its Comm over a socket transport
-// (mpi.DialSocket + mpi.NewComm) and calls this directly. Config.Ranks
-// and Config.ThreadsPerRank are ignored; the communicator defines
-// both. Every rank returns the full gathered partition and its own
-// Report (timings are the local rank's; quality and volumes are
-// collective and identical everywhere).
-func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error) {
+// XtraPuLP partitions the generator's graph with the paper's
+// distributed partitioner on w. Each rank generates only its chunk of
+// the edge list, so no rank ever materializes the whole graph — the
+// paper's actual usage mode at scale; FromGraph adapts an in-memory
+// graph. It returns the full part assignment indexed by vertex id and
+// the calling rank's Report (rank 0's on a Local world): timings are
+// that rank's, quality and volumes are collective and identical
+// everywhere.
+func XtraPuLP(w World, g *Generator, cfg Config) ([]int32, Report, error) {
 	if cfg.Parts < 1 {
 		return nil, Report{}, fmt.Errorf("repro: Config.Parts = %d", cfg.Parts)
 	}
-	if err := validatePipeDepth(cfg.PipeDepth); err != nil {
-		return nil, Report{}, err
+	type result struct {
+		parts []int32
+		rep   Report
 	}
+	r, err := runOn(w, func(c *mpi.Comm) (result, error) {
+		parts, rep, err := xtrapulpRank(c, g, cfg)
+		return result{parts, rep}, err
+	})
+	return r.parts, r.rep, err
+}
+
+// xtrapulpRank is one rank's share of XtraPuLP.
+func xtrapulpRank(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error) {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -216,7 +238,6 @@ func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error
 	if cfg.AsyncExchange {
 		opt.Exchange = core.ExchangeAsyncDelta
 	}
-	opt.SizeEpoch = cfg.SizeEpoch
 	if cfg.OverrideXY || cfg.X != 0 || cfg.Y != 0 {
 		opt.X, opt.Y = cfg.X, cfg.Y
 	}
@@ -232,7 +253,6 @@ func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error
 		// left half-entered.
 		return nil, Report{}, err
 	}
-	dg.SetPipeDepth(cfg.PipeDepth) // before the exchanger exists
 	local, r, err := core.Partition(dg, opt)
 	if err != nil {
 		// Partition errors are symmetric across ranks and happen
@@ -265,10 +285,9 @@ func XtraPuLPComm(c *mpi.Comm, g *Generator, cfg Config) ([]int32, Report, error
 // thread budget; 0 (or negative) defers to the REPRO_THREADS
 // environment variable when it holds a positive integer (so a launcher
 // can set the budget for every worker it spawns), and otherwise to one
-// worker per core (par.DefaultThreads). The communicator is ready for
-// XtraPuLPComm and the other external-world entry points; callers that
-// print or write output should do so from rank 0 only
-// (Comm.Rank() == 0).
+// worker per core (par.DefaultThreads). Pass the communicator to the
+// run entry points as Joined(c); callers that print or write output
+// should do so from rank 0 only (Comm.Rank() == 0).
 func SocketComm(threads int) (*mpi.Comm, func() error, error) {
 	cfg, err := mpi.SocketConfigFromEnv()
 	if err != nil {
@@ -288,11 +307,10 @@ func SocketComm(threads int) (*mpi.Comm, func() error, error) {
 	return mpi.NewComm(tr, threads), tr.Close, nil
 }
 
-// staticGenerator wraps an in-memory graph as a Generator so the
-// distributed builders can chunk it.
-func staticGenerator(g *Graph) *Generator {
-	edges := g.Edges()
-	return gen.FromEdgeList("static", g.N, edges)
+// FromGraph wraps an in-memory graph as a Generator so the distributed
+// entry points can chunk it.
+func FromGraph(g *Graph) *Generator {
+	return gen.FromEdgeList("static", g.N, g.Edges())
 }
 
 // Method names accepted by Partition.
@@ -320,10 +338,10 @@ func Methods() []string {
 func Partition(method string, g *Graph, p int, seed uint64) ([]int32, error) {
 	switch method {
 	case MethodXtraPuLP:
-		// ThreadsPerRank pinned: the method defaults promise the same
+		// One thread per rank: the method defaults promise the same
 		// partition for the same seed on every machine, and the
 		// propagation RNG streams are thread-id keyed.
-		parts, _, err := XtraPuLP(g, Config{Parts: p, Ranks: 4, ThreadsPerRank: 1, RandomDist: true, Seed: seed})
+		parts, _, err := XtraPuLP(Local(4, 1), FromGraph(g), Config{Parts: p, RandomDist: true, Seed: seed})
 		return parts, err
 	case MethodPuLP:
 		opt := pulp.DefaultOptions(p)
