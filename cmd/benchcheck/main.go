@@ -11,12 +11,19 @@
 // schema-drifted file fails the build instead of silently poisoning
 // the recorded trajectory.
 //
+// With -against, it also compares the artifact with a committed one:
+// every row must match by (path, graph, ranks, mode, threads, layout)
+// and carry the same element volumes, reduction counts, edge cuts,
+// HC-wave counts, norm-piggyback flags and pipeline depths. Wall,
+// sweep and allocation columns are never compared.
+//
 // Usage:
 //
-//	benchcheck BENCH_exchange.json
+//	benchcheck [-against committed.json] BENCH_exchange.json
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 
@@ -24,13 +31,27 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_exchange.json")
+	against := flag.String("against", "", "committed artifact whose deterministic columns the generated one must match")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck [-against committed.json] BENCH_exchange.json")
+	}
+	flag.Parse()
+	if flag.NArg() != 1 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	if err := harness.ValidateExchangeJSON(os.Args[1]); err != nil {
+	path := flag.Arg(0)
+	if err := harness.ValidateExchangeJSON(path); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s: schema OK\n", os.Args[1])
+	fmt.Printf("%s: schema OK\n", path)
+	if *against == "" {
+		return
+	}
+	if err := harness.CompareExchangeJSON(*against, path); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Printf("%s: deterministic columns match %s\n", path, *against)
 }

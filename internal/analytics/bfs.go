@@ -13,18 +13,11 @@ import (
 // srcGID, returning hop levels for owned vertices (-1 if unreachable)
 // and the eccentricity of the source. Each round performs local
 // frontier expansion, pushes discoveries of remote-owned vertices to
-// their owners, refreshes ghost copies, and tests global termination.
-//
-// On the async engine the rounds run split-phase AND pipelined to
-// depth two: the boundary part of the frontier — the only part that
-// can discover ghosts — expands first and its discoveries are pushed
-// with BeginPush while the PREVIOUS depth's ghost-refresh round is
-// still in flight, so two rounds of messages overlap each other plus
-// the interior expansion. The refresh carries the frontier size as a
-// piggybacked counter, so termination needs no per-round Allreduce on
-// complete rank neighborhoods (incomplete ones fall back to an exact
-// Allreduce every round). Levels are identical across
-// engines: all discoveries within a round get the same depth, so
+// their owners, refreshes ghost copies, and tests global termination
+// with the frontier size as the refresh round's tally. It is one wave
+// of the BFS wave schedule (runWaves): pipelined two rounds deep on the
+// delta engine, lock-step on the bulk engine. Levels are identical on
+// both engines: all discoveries within a round get the same depth, so
 // expansion order cannot change results, and a boundary expansion that
 // reads a one-round-stale ghost copy can only re-discover a vertex its
 // owner already leveled — the owner keeps the first (correct) level
@@ -42,57 +35,18 @@ func bfsRun(g *dgraph.Graph, e *engine, srcGID int64) (levels []int64, ecc int64
 	if g.NGlobal == 0 {
 		// Degenerate shard: no vertices anywhere, so no rank enters
 		// the round loop and no collective runs — returning early is
-		// symmetric. (Without the guard the sync loop would still run
-		// one empty round, but the final eccentricity Allreduce over
-		// an empty level array is pure noise.)
+		// symmetric.
 		return make([]int64, 0), 0
 	}
-	all := make([]int64, g.NTotal())
-	for i := range all {
-		all[i] = -1
-	}
-	var frontier []int32
-	if lid, ok := g.G2L[srcGID]; ok {
-		all[lid] = 0
-		if !g.IsGhost(lid) {
-			frontier = append(frontier, lid)
-		}
-	}
-	if e.overlapped() {
-		bfsPipelined(g, e, all, frontier)
-	} else {
-		depth := int64(0)
-		for {
-			rd := bfsRound{next: make([]int32, 0, len(frontier))}
-			e.expandFrontier(&rd, all, frontier, depth, bfsAllFrontier)
-			// Tell owners about remotely discovered vertices; merge their
-			// pushes into our frontier (first discovery wins).
-			recvL, recvP := g.PushToOwners(rd.ghostFound, rd.ghostLevels)
-			next := rd.next
-			for i, lid := range recvL {
-				if all[lid] < 0 {
-					all[lid] = recvP[i]
-					next = append(next, lid)
-				}
-			}
-			// Refresh ghost copies of the new frontier so the next round's
-			// expansion does not rediscover them remotely.
-			g.ExchangeInt64(next, all)
-			if mpi.AllreduceScalar(g.Comm, int64(len(next)), mpi.Sum) == 0 {
-				break
-			}
-			depth++
-			frontier = next
-		}
-	}
-	maxLevel := par.MaxInt64(0, g.NLocal, e.threads, 0, func(v int) int64 { return all[v] })
-	return all[:g.NLocal], mpi.AllreduceScalar(g.Comm, maxLevel, mpi.Max)
+	w := &bfsWave{all: make([]int64, g.NTotal())}
+	w.reset(g, srcGID)
+	runWaves(e, []*bfsWave{w})
+	maxLevel := par.MaxInt64(0, g.NLocal, e.threads, 0, func(v int) int64 { return w.all[v] })
+	return w.all[:g.NLocal], mpi.AllreduceScalar(g.Comm, maxLevel, mpi.Max)
 }
 
 // bfsRound accumulates one BFS round's discoveries. expandFrontier is
-// the frontier-expansion step BOTH engines share — a single
-// definition, so the bit-identical-across-engines invariant cannot
-// drift between the sync loop and the pipelined loop: unvisited
+// the frontier-expansion step of every wave on both engines: unvisited
 // neighbors get this round's level, ghosts queue for the owner push,
 // owned vertices join the next frontier.
 type bfsRound struct {
@@ -100,15 +54,6 @@ type bfsRound struct {
 	ghostFound  []int32
 	ghostLevels []int64
 }
-
-// Frontier filters for expandFrontier: the pipelined schedules expand
-// the boundary part of the frontier (the only part that can discover
-// ghosts) before the interior part.
-const (
-	bfsAllFrontier int8 = iota
-	bfsBoundaryOnly
-	bfsInteriorOnly
-)
 
 // expandChunk is the per-thread expansion body: scan the chunk's
 // frontier vertices and claim unvisited neighbors with a CAS on the
@@ -125,10 +70,7 @@ func (e *engine) expandChunk(lo, hi, tid int) {
 	g, all, depth := e.g, e.ball, e.bdepth
 	for i := lo; i < hi; i++ {
 		v := e.bfrontier[i]
-		if e.bfilter == bfsBoundaryOnly && !g.IsBoundaryVertex(v) {
-			continue
-		}
-		if e.bfilter == bfsInteriorOnly && g.IsBoundaryVertex(v) {
+		if g.IsBoundaryVertex(v) != e.bboundary {
 			continue
 		}
 		for _, u := range g.Neighbors(v) {
@@ -147,14 +89,16 @@ func (e *engine) expandChunk(lo, hi, tid int) {
 	}
 }
 
-// expandFrontier runs one parallel frontier-expansion sweep and
-// appends the discoveries to rd: owned vertices to rd.next, ghosts to
-// rd.ghostFound with level depth+1.
+// expandFrontier runs one parallel frontier-expansion sweep over the
+// boundary (or the interior) part of the frontier — boundary first,
+// since only it can discover ghosts — and appends the discoveries to
+// rd: owned vertices to rd.next, ghosts to rd.ghostFound with level
+// depth+1.
 //
 //repro:timing
-func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, depth int64, filter int8) {
+func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, depth int64, boundary bool) {
 	start := time.Now()
-	e.ball, e.bfrontier, e.bdepth, e.bfilter = all, frontier, depth, filter
+	e.ball, e.bfrontier, e.bdepth, e.bboundary = all, frontier, depth, boundary
 	par.ForChunk(0, len(frontier), e.threads, e.expandBody)
 	rd.next = e.qNext.MergeInto(rd.next)
 	before := len(rd.ghostFound)
@@ -165,108 +109,20 @@ func (e *engine) expandFrontier(rd *bfsRound, all []int64, frontier []int32, dep
 	e.sweepTime += time.Since(start)
 }
 
-// bfsPipelined is the overlapped BFS loop: depth d+1's discovery push
-// is posted while depth d's ghost refresh is still in flight, keeping
-// two value rounds in the exchanger pipeline at all times.
-//
-// Per round:
-//
-//	expand boundary frontier        (ghosts may be one refresh stale)
-//	BeginPush(discoveries)          ── round 2r+1 in flight
-//	expand interior frontier        ── overlaps both rounds
-//	FlushValues                     ── settles round 2r-2's refresh,
-//	                                   yields the PREVIOUS frontier's
-//	                                   global size (termination)
-//	FlushPush → merge discoveries   ── settles round 2r+1
-//	BeginValues(new frontier)       ── round 2r+2 in flight
-//
-// Termination is observed one round late (the refresh that certifies a
-// globally empty frontier settles while the next — necessarily empty —
-// push round is already posted), so convergence costs one trailing
-// empty round; on incomplete neighborhoods the exact Allreduce runs
-// every round. Empty rounds expand an empty frontier and therefore
-// cannot change levels.
-func bfsPipelined(g *dgraph.Graph, e *engine, all []int64, frontier []int32) {
-	ex := e.ex
-	pendingValues := false
-	prevLen := int64(0)
-	depth := int64(0)
-	for {
-		rd := bfsRound{next: make([]int32, 0, len(frontier))}
-		// Boundary frontier first: only boundary vertices have ghost
-		// neighbors, so this prefix feeds the push round. The previous
-		// round's ghost refresh may still be in flight, so a ghost
-		// copy can be stale here; the resulting redundant push claims
-		// a level no smaller than the owner's (rounds are level-
-		// synchronous), and the owner's first-discovery-wins merge
-		// drops it.
-		e.expandFrontier(&rd, all, frontier, depth, bfsBoundaryOnly)
-		ex.BeginPush(rd.ghostFound, rd.ghostLevels, nil)
-		e.expandFrontier(&rd, all, frontier, depth, bfsInteriorOnly)
-		done := false
-		if pendingValues {
-			// Settle the previous round's ghost refresh (posted before
-			// this round's push — flushes are FIFO). Owner levels are
-			// authoritative and final, so applying them after this
-			// round's expansion only corrects stale ghost copies.
-			outL, outP, tr := ex.FlushValues()
-			for i, lid := range outL {
-				all[lid] = outP[i]
-			}
-			pendingValues = false
-			if e.complete {
-				done = tr.Sum(0) == 0
-			} else {
-				done = mpi.AllreduceScalar(g.Comm, prevLen, mpi.Sum) == 0
-			}
-		}
-		recvL, recvP, _ := ex.FlushPush()
-		if done {
-			// The previous frontier was globally empty, so this round
-			// expanded nothing and the push just flushed was empty on
-			// every rank: exit with the pipeline drained.
-			break
-		}
-		next := rd.next
-		for i, lid := range recvL {
-			if all[lid] < 0 {
-				all[lid] = recvP[i]
-				next = append(next, lid)
-			}
-		}
-		// Ghost refresh of the new frontier, with the frontier size
-		// riding the messages as the termination counter; it settles
-		// mid-next-round.
-		e.payload = e.payload[:0]
-		for _, v := range next {
-			e.payload = append(e.payload, all[v])
-		}
-		var tally []int64
-		if e.complete {
-			e.tally[0] = int64(len(next))
-			tally = e.tally[:1]
-		}
-		ex.BeginValues(next, e.payload, tally)
-		pendingValues = true
-		prevLen = int64(len(next))
-		depth++
-		frontier = next
-	}
-}
-
 // HarmonicCentrality computes harmonic centrality for the given source
 // vertices (the paper uses 100 sources on WDC12; scaled runs pass
 // fewer): for each source a full BFS accumulates 1/d(s, v) onto every
 // reached vertex. It returns the accumulated centralities for owned
 // vertices.
 //
-// On the synchronous engine the sources run as a sequential loop of
-// full BFS sweeps. On the async engine they run as HCWaves(g)
+// On a pipelined exchanger (depth >= 2) the sources run as HCWaves(g)
 // concurrent waves sharing the exchanger's depth-k pipeline (see
 // hc_waves.go): wave i's push and refresh rounds interleave with wave
 // i+1's, per-wave termination counters ride the tally frames, and no
-// per-source eccentricity Allreduce is paid. Centralities are
-// bit-identical across engines, wave counts, and pipeline depths.
+// per-source eccentricity Allreduce is paid. On the depth-1 bulk
+// engine they run as a sequential loop of full BFS sweeps.
+// Centralities are bit-identical across engines, wave counts, and
+// pipeline depths.
 //
 //repro:deterministic
 //repro:timing
@@ -274,7 +130,7 @@ func HarmonicCentrality(g *dgraph.Graph, sources []int64) ([]float64, Result) {
 	start := time.Now()
 	hc := make([]float64, g.NLocal)
 	e := newEngine(g)
-	if e.overlapped() && g.NGlobal > 0 {
+	if e.ex.Depth() > 1 && g.NGlobal > 0 {
 		harmonicWaves(g, e, sources, hc)
 	} else {
 		for _, s := range sources {

@@ -4,51 +4,46 @@ import (
 	"time"
 
 	"repro/internal/dgraph"
-	"repro/internal/mpi"
 	"repro/internal/par"
 )
 
-// Overlapped analytics engine. In sync mode every iteration of the
-// label-propagation-style analytics (WCC, KC, LP) blocks twice: once
-// in the value exchange and once in the termination Allreduce. The
-// engine here removes both waits in async mode with the same two ideas
-// the partitioner uses:
+// The analytics engine. Every label-propagation-style analytic (WCC,
+// KC, LP) runs the same round on the graph's dgraph.Exchanger:
 //
-//   - Split-phase rounds: every sweep relaxes boundary vertices first,
-//     posts their new values with DeltaExchanger.BeginValues, relaxes
-//     interior vertices — which read no ghost values — while the
-//     messages are in flight, and settles ghosts at FlushValues.
-//     Both modes sweep in the same boundary-first order, so results
-//     stay bit-identical.
-//   - Piggybacked convergence counters: the per-round changed-vertex
-//     count rides the value messages as a tally frame. On a complete
-//     rank neighborhood the folded counter is the exact global count
-//     (one round stale — the price is a single trailing no-op round
-//     instead of one Allreduce per round); on incomplete neighborhoods
-//     the engine falls back to the exact Allreduce every round.
+//   - Split-phase sweeps: each round relaxes boundary vertices first,
+//     posts their new values with BeginValues, relaxes interior
+//     vertices — which read no ghost values — while the round is in
+//     flight, and settles ghosts at FlushCount. On the delta engine the
+//     interior sweep overlaps the messages; on the bulk engine the
+//     round ships at the Flush. Both sweep in the same boundary-first
+//     order, so results are bit-identical.
+//   - A convergence counter handed over at the Flush: each rank's
+//     changed-vertex count. The bulk engine (and the delta engine on an
+//     incomplete rank neighbourhood) reduces it exactly in the same
+//     round; on a complete neighbourhood the delta engine carries it on
+//     the next round's messages instead of paying an Allreduce, and
+//     reports that one-round lag, which the loop subtracts from its
+//     round count.
 //
-// BFS additionally pipelines its rounds (two in flight, see
-// bfsPipelined), Harmonic Centrality batches whole BFS waves onto the
-// depth-k pipeline (hc_waves.go), and analytics with a final max
-// reduction can ride it on the same tally frames (engine.aux, used by
+// BFS runs on the wave schedule of hc_waves.go — pipelined two rounds
+// deep on the delta engine, several waves at once for Harmonic
+// Centrality on a deeper pipeline — and analytics with a final max
+// reduction can ride it next to the counter (engine.aux, used by
 // K-Core).
 
-// engine bundles the mode-selected exchange machinery of one analytic
-// run: blocking collective helpers in sync mode, split-phase delta
-// rounds with piggybacked counters in async mode.
+// engine bundles the exchanger and the parallel sweep machinery of one
+// analytic run.
 type engine struct {
-	g        *dgraph.Graph
-	ex       *dgraph.DeltaExchanger // non-nil in overlapped (async) mode
-	complete bool                   // piggybacked counters are exact
+	g  *dgraph.Graph
+	ex dgraph.Exchanger
 
-	// aux, when set before propagate, is an extra non-negative counter
-	// piggybacked next to the convergence counter on complete
-	// neighborhoods and max-combined across ranks (TallyRound.Max). At
-	// the round that detects convergence the propagated values are
-	// final, so the fold delivers the analytic's global maximum for
-	// free — K-Core's coreness maximum rides this instead of a trailing
-	// Allreduce. auxVal/auxOK hold the result when the run terminated
-	// through the piggybacked counter.
+	// aux, when set before propagate, is an extra non-negative value
+	// carried next to the convergence counter (Tally.Max) and
+	// max-combined across ranks. At the round that detects convergence
+	// the propagated values are final, so the carried maximum is the
+	// analytic's global maximum for free — K-Core's coreness maximum
+	// rides it instead of a trailing Allreduce. auxVal/auxOK hold the
+	// result when the engine carried it.
 	aux    func() int64
 	auxVal int64
 	auxOK  bool
@@ -56,7 +51,8 @@ type engine struct {
 	// Arenas reused across rounds.
 	changed []int32
 	payload []int64
-	tally   [2]int64
+	tbuf    [1]int64
+	tally   dgraph.Tally
 
 	// Intra-rank parallel sweep machinery. Each relaxation sweep fans
 	// the vertex list across threads with par.ForChunk; workers queue
@@ -86,7 +82,7 @@ type engine struct {
 	ball       []int64
 	bfrontier  []int32
 	bdepth     int64
-	bfilter    int8
+	bboundary  bool
 	expandBody func(lo, hi, tid int)
 }
 
@@ -97,11 +93,10 @@ type relaxUpd struct {
 	val int64
 }
 
-// newEngine derives the engine from the graph's exchange mode. The
-// completeness flag is a cached read — the collective detection ran
-// when the graph's exchanger was constructed.
+// newEngine binds the engine to the exchanger the graph's
+// SetAsyncExchange selected.
 func newEngine(g *dgraph.Graph) *engine {
-	e := &engine{g: g, threads: g.Comm.Threads()}
+	e := &engine{g: g, ex: g.Exchanger(), threads: g.Comm.Threads()}
 	if e.threads < 1 {
 		e.threads = 1
 	}
@@ -110,10 +105,6 @@ func newEngine(g *dgraph.Graph) *engine {
 	e.qNext = par.NewQueues[int32](e.threads)
 	e.qGhost = par.NewQueues[int32](e.threads)
 	e.expandBody = e.expandChunk
-	if g.AsyncExchange() {
-		e.ex = g.AsyncExchanger()
-		e.complete = e.ex.NeighborhoodComplete()
-	}
 	return e
 }
 
@@ -157,16 +148,22 @@ func (e *engine) applySweep(vals []int64) {
 	}
 }
 
-// overlapped reports whether rounds run split-phase on the delta
-// exchanger.
-func (e *engine) overlapped() bool { return e.ex != nil }
+// values gathers vals[lids] into the engine's payload arena.
+func (e *engine) values(lids []int32, vals []int64) []int64 {
+	e.payload = e.payload[:0]
+	for _, v := range lids {
+		e.payload = append(e.payload, vals[v])
+	}
+	return e.payload
+}
 
 // propagate runs label-propagation-style rounds over vals: each round
 // relaxes every owned vertex in boundary-first order (relax returns
 // v's candidate value and whether it changed), ships the changed
 // boundary values owner → ghost, and stops when no vertex changed
 // anywhere or after maxIters rounds (maxIters <= 0: unbounded). It
-// returns the number of rounds executed.
+// returns the number of rounds executed, not counting the rounds the
+// convergence counter lagged behind.
 //
 // Rounds are two phase-Jacobi sweeps: the boundary sweep computes
 // updates from the round-start state and applies them all at once,
@@ -176,85 +173,36 @@ func (e *engine) overlapped() bool { return e.ex != nil }
 // That phase discipline is what makes the parallel sweeps exact: every
 // worker reads the same frozen state regardless of chunk boundaries,
 // so per-round state and the fixed point are bit-identical across
-// thread counts AND across modes (both relax boundary-then-interior
-// with the same two commit points). The overlapped mode relaxes
-// interior vertices while the boundary messages are in flight; its
-// termination counter is one round stale (the count shipped with round
-// r's messages is round r-1's), so convergence costs one extra no-op
-// round, which by definition changes nothing.
+// thread counts AND across engines. When the counter lags one round,
+// convergence costs one extra round, which by definition changes
+// nothing.
 func (e *engine) propagate(vals []int64, relax func(v int32, tid int) (int64, bool), maxIters int) int {
-	g := e.g
+	g, ex := e.g, e.ex
 	bnd, inr := g.BoundaryVertices(), g.InteriorVertices()
 	iters := 0
 	e.relax = relax
-
-	if !e.overlapped() {
-		for maxIters <= 0 || iters < maxIters {
-			iters++
-			e.changed = e.changed[:0]
-			e.sweep(bnd)
-			e.applySweep(vals)
-			nb := len(e.changed)
-			e.sweep(inr)
-			e.applySweep(vals)
-			// Interior vertices are ghosted nowhere, so only the
-			// boundary prefix has destinations.
-			g.ExchangeInt64(e.changed[:nb], vals)
-			if mpi.AllreduceScalar(g.Comm, int64(len(e.changed)), mpi.Sum) == 0 {
-				break
-			}
-		}
-		return iters
-	}
-
-	prevLocal := int64(1) // round 0 "changed something": never converged at entry
 	for maxIters <= 0 || iters < maxIters {
 		iters++
 		e.changed = e.changed[:0]
 		e.sweep(bnd)
 		e.applySweep(vals)
-		e.payload = e.payload[:0]
-		for _, v := range e.changed {
-			e.payload = append(e.payload, vals[v])
-		}
-		var tally []int64
-		if e.complete {
-			e.tally[0] = prevLocal
-			tally = e.tally[:1]
-			if e.aux != nil {
-				e.tally[1] = e.aux()
-				tally = e.tally[:2]
-			}
-		}
-		ex := e.ex
-		ex.BeginValues(e.changed, e.payload, tally)
-		// Overlap: interior relaxations read no ghost values, so they
-		// run while the drainer receives. (BeginValues consumed the
-		// boundary prefix, so appending is safe.)
+		// Interior vertices are ghosted nowhere, so only the boundary
+		// prefix has destinations; BeginValues consumes it, so the
+		// interior sweep may append behind it.
+		e.tally = dgraph.Tally{Round: iters, Max: e.aux}
+		ex.BeginValues(e.changed, e.values(e.changed, vals), &e.tally)
 		e.sweep(inr)
 		e.applySweep(vals)
-		outL, outP, tr := ex.FlushValues()
+		outL, outP, tr := ex.FlushCount(int64(len(e.changed)))
 		for i, lid := range outL {
 			vals[lid] = outP[i]
 		}
-		local := int64(len(e.changed))
-		if e.complete {
-			if tr.Sum(0) == 0 {
-				// The counter certifies the PREVIOUS round changed
-				// nothing anywhere, which makes the round just executed
-				// a global no-op: report the same productive-round
-				// count as the sync engine. Values have been final
-				// since that previous round, so the aux frames carried
-				// by this round's messages fold to the analytic's
-				// global maximum.
-				if e.aux != nil {
-					e.auxVal, e.auxOK = tr.Max(1), true
-				}
-				iters--
-				break
-			}
-			prevLocal = local
-		} else if mpi.AllreduceScalar(g.Comm, local, mpi.Sum) == 0 {
+		if tr.Count() == 0 {
+			// No vertex changed anywhere Lag() rounds ago, so the
+			// values have been final since then: the maximum carried
+			// with the counter is the analytic's global maximum.
+			iters -= tr.Lag()
+			e.auxVal, e.auxOK = tr.CountMax()
 			break
 		}
 	}

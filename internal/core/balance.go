@@ -32,7 +32,7 @@ func (s *state) vertBalance() {
 		maxV := maxOf(s.sv, s.imbV)
 		mult := s.mult()
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(false))
+		s.ex.BeginTally(s.tallyLen(false))
 		// weight is the attraction of part i, 0 for a part at its cap.
 		weight := func(i int32) float64 {
 			cvi := float64(atomic.LoadInt64(&s.cv[i]))
@@ -140,7 +140,7 @@ func (s *state) vertRefine() {
 
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(false))
+		s.ex.BeginTally(s.tallyLen(false))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			ps := &scans[tid]

@@ -11,31 +11,28 @@
 // any part, preventing the oscillation that occurs when thousands of
 // ranks concurrently discover the same underweight part (§III.C).
 //
-// # Iteration structure and exchange modes
+// # Iteration structure and exchange engines
 //
 // Each inner iteration runs rank-local label propagation across worker
-// threads, ships the changed boundary labels to the ranks ghosting
-// them, and settles the global per-part size estimates the weighting
-// functions read. Options.Exchange selects the transport:
+// threads, then one update round of a dgraph.Exchanger ships the
+// changed boundary labels to the ranks ghosting them and settles the
+// global per-part size deltas the weighting functions read, carried as
+// the round's tally. Options.Exchange selects the engine:
 //
-//   - ExchangeSync: a world-wide Alltoallv carries the updates, and a
-//     world-wide Allreduce settles the per-iteration size deltas — two
-//     global barriers per iteration.
-//   - ExchangeAsyncDelta: updates travel as packed per-neighbor
-//     point-to-point messages (dgraph.DeltaExchanger) posted before
-//     the propagation loop and drained concurrently with it. When
-//     every rank neighbors every other — detected collectively at
-//     startup — the size-delta tallies piggyback on those same
-//     messages, each rank folds its own deltas plus its neighbors'
-//     tallies into its estimates (already the exact global sums), and
-//     an iteration ends with no global barrier at all. On topologies
-//     where some rank pairs share no boundary the settle stays an
-//     exact Allreduce. Either way the async partition matches the
-//     synchronous one bit-for-bit at equal seeds.
+//   - ExchangeSync: the bulk-synchronous engine — a world-wide
+//     Alltoallv carries the updates and an Allreduce settles the
+//     deltas, two global barriers per iteration.
+//   - ExchangeAsyncDelta: the delta engine — updates travel as packed
+//     per-neighbor point-to-point messages posted before the
+//     propagation loop and drained concurrently with it. When every
+//     rank neighbors every other the tallies ride those same messages
+//     and an iteration ends with no global barrier at all; elsewhere
+//     the engine settles them by an exact Allreduce. Either way the
+//     partition matches the synchronous one bit-for-bit at equal seeds.
 //
 // Partition reports the exchanged-element volume and Allreduce count
 // of a run (Report.ExchangeVolume, Report.ReductionOps) so the two
-// modes can be compared; the harness "exchange" experiment does
+// engines can be compared; the harness "exchange" experiment does
 // exactly that.
 //
 // # Per-vertex cost

@@ -62,7 +62,7 @@ func (s *state) edgeBalance() {
 			rc++
 		}
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(true))
+		s.ex.BeginTally(s.tallyLen(true))
 		bound.recompute(s)
 		// weight is the attraction of part i for a vertex of degree dv,
 		// 0 for a part at its cap. Receivers are capped at the vertex
@@ -222,7 +222,7 @@ func (s *state) edgeRefine() {
 	for iter := 0; iter < s.opt.Iref; iter++ {
 		maxC := maxOf(s.sc, 1)
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.roundTallyLen(true))
+		s.ex.BeginTally(s.tallyLen(true))
 
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			ps := &scans[tid]

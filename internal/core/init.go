@@ -34,7 +34,7 @@ func (s *state) initRandom() {
 		s.parts[v] = w
 		q[v] = dgraph.Update{LID: int32(v), Value: w}
 	}
-	s.applyGhostUpdates(s.exchange(q))
+	s.exchange(q)
 }
 
 // initBlock assigns parts by contiguous global-id blocks (vertex block
@@ -50,7 +50,7 @@ func (s *state) initBlock() {
 		s.parts[v] = w
 		q[v] = dgraph.Update{LID: int32(v), Value: w}
 	}
-	s.applyGhostUpdates(s.exchange(q))
+	s.exchange(q)
 }
 
 // initBFS implements Algorithm 2: the master rank broadcasts p unique
@@ -88,17 +88,18 @@ func (s *state) initBFS() int {
 			pending++
 		}
 	}
-	s.applyGhostUpdates(s.exchange(rootQ))
+	s.exchange(rootQ)
 
-	// Primary propagation loop. In async mode with a complete rank
-	// neighborhood the round's assignment counter piggybacks on the
-	// update messages, so the termination test needs no Allreduce.
+	// Primary propagation loop. The round's assignment counter is its
+	// tally: on the delta engine with a complete rank neighborhood it
+	// piggybacks on the update messages, so the termination test needs
+	// no Allreduce.
 	threads := s.threads()
 	rounds := 0
 	for {
 		rounds++
 		queues := par.NewQueues[dgraph.Update](threads)
-		s.beginExchange(s.initTallyLen())
+		s.ex.BeginTally(1)
 		var updates int64
 		par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 			r := rng.NewStream(s.opt.Seed^0xBF0F, uint64(rounds)<<32|uint64(tid)<<16|uint64(c.Rank()))
@@ -132,7 +133,9 @@ func (s *state) initBFS() int {
 			}
 			atomic.AddInt64(&updates, local)
 		})
-		if s.exchangeInitCount(queues.Merge(), updates) == 0 {
+		in, tr := s.ex.FlushTally(queues.Merge(), []int64{updates})
+		s.applyGhostUpdates(in)
+		if tr.Sum(0) == 0 {
 			break
 		}
 	}
@@ -140,7 +143,7 @@ func (s *state) initBFS() int {
 	// Leftovers: random assignment for vertices unreached by any root
 	// (disconnected components), then one final exchange.
 	queues := par.NewQueues[dgraph.Update](threads)
-	s.beginExchange(0)
+	s.ex.BeginTally(0)
 	par.ForChunk(0, g.NLocal, threads, func(lo, hi, tid int) {
 		r := rng.NewStream(s.opt.Seed^0xD00D, uint64(tid)<<16|uint64(c.Rank()))
 		for v := lo; v < hi; v++ {
@@ -151,6 +154,6 @@ func (s *state) initBFS() int {
 			}
 		}
 	})
-	s.applyGhostUpdates(s.exchange(queues.Merge()))
+	s.exchange(queues.Merge())
 	return rounds
 }

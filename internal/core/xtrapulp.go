@@ -14,14 +14,8 @@ type state struct {
 	opt Options
 	p   int
 
-	// ex is the asynchronous delta exchanger, nil in sync mode.
-	ex *dgraph.DeltaExchanger
-
-	// tallyExact records whether every rank neighbors every other —
-	// detected collectively at startup in async mode. Then the
-	// piggybacked own+neighbor tally sums are exactly the global sums,
-	// so settles ride on the update messages with no Allreduce.
-	tallyExact bool
+	// ex is the exchange engine Options.Exchange selects.
+	ex dgraph.Exchanger
 
 	// parts holds assignments for owned and ghost vertices. Hot-loop
 	// reads and writes go through atomics because intra-rank threads
@@ -77,12 +71,9 @@ func Partition(g *dgraph.Graph, opt Options) ([]int32, Report, error) {
 	}
 	s.imbV = (1 + opt.VertImbalance) * float64(g.NGlobal) / float64(s.p)
 	s.imbE = (1 + opt.EdgeImbalance) * float64(2*g.MGlobal) / float64(s.p)
-	if opt.Exchange == ExchangeAsyncDelta {
-		s.ex = g.AsyncExchanger()
-		// Shared with the overlapped analytics engines: collective on
-		// the first call per graph, cached after.
-		s.tallyExact = s.ex.NeighborhoodComplete()
-	}
+	// The delta engine is shared with the analytics: built
+	// collectively on the first call per graph, cached after.
+	s.ex = g.ExchangerFor(opt.Exchange == ExchangeAsyncDelta)
 
 	var rep Report
 	sentBefore := g.Comm.Stats().ElemsSent
@@ -152,20 +143,9 @@ func (s *state) storePart(v int32, w int32) {
 	atomic.StoreInt32(&s.parts[v], w)
 }
 
-// piggyback reports whether settles ride on the update messages
-// instead of a per-iteration Allreduce: async mode on a complete rank
-// neighborhood. Elsewhere the piggybacked tallies would miss
-// non-neighbor ranks, so settles stay exact by Allreduce and the
-// partition identical to sync mode.
-func (s *state) piggyback() bool { return s.ex != nil && s.tallyExact }
-
-// roundTallyLen is the tally length the next balance/refine exchange
-// round carries: per-part vertex deltas, plus edge and cut deltas
-// during the edge stages.
-func (s *state) roundTallyLen(withEdges bool) int {
-	if !s.piggyback() {
-		return 0
-	}
+// tallyLen is the tally length of a balance/refine round: per-part
+// vertex deltas, plus edge and cut deltas during the edge stages.
+func (s *state) tallyLen(withEdges bool) int {
 	if withEdges {
 		return 3 * s.p
 	}
@@ -195,41 +175,6 @@ func (s *state) recountSizes(withCut bool) {
 	for i := 0; i < s.p; i++ {
 		s.cv[i], s.ce[i], s.cc[i] = 0, 0, 0
 	}
-}
-
-// settleDeltas Allreduces the per-iteration deltas, folds them into the
-// size estimates, and resets them (the end-of-iteration block of
-// Algorithms 4 and 5, extended with edge and cut tallies). It returns
-// the number of vertices that changed parts globally this iteration.
-func (s *state) settleDeltas(withEdges bool) int64 {
-	if !withEdges {
-		global := mpi.Allreduce(s.g.Comm, s.cv, mpi.Sum)
-		var moved int64
-		for i := 0; i < s.p; i++ {
-			s.sv[i] += global[i]
-			if global[i] > 0 {
-				moved += global[i]
-			}
-			s.cv[i] = 0
-		}
-		return moved
-	}
-	buf := make([]int64, 3*s.p)
-	copy(buf[0:s.p], s.cv)
-	copy(buf[s.p:2*s.p], s.ce)
-	copy(buf[2*s.p:3*s.p], s.cc)
-	global := mpi.Allreduce(s.g.Comm, buf, mpi.Sum)
-	var moved int64
-	for i := 0; i < s.p; i++ {
-		s.sv[i] += global[i]
-		if global[i] > 0 {
-			moved += global[i]
-		}
-		s.se[i] += global[i+s.p]
-		s.sc[i] += global[i+2*s.p]
-		s.cv[i], s.ce[i], s.cc[i] = 0, 0, 0
-	}
-	return moved
 }
 
 // trace emits a TraceEvent on rank 0 if tracing is configured.
@@ -262,28 +207,11 @@ func (s *state) applyGhostUpdates(recv []dgraph.Update) {
 	}
 }
 
-// beginExchange posts the receive side of the next boundary exchange.
-// In async mode a background drainer starts receiving and decoding
-// neighbor updates immediately, overlapping with the propagation loop
-// the caller is about to run; in sync mode it is a no-op. tallyLen
-// declares the piggybacked tally frame the round's messages carry (0
-// for none) and must match the exchange that follows. Every
-// beginExchange must be followed by exactly one exchange call.
-func (s *state) beginExchange(tallyLen int) {
-	if s.ex != nil {
-		s.ex.BeginTally(tallyLen)
-	}
-}
-
-// exchange ships the queued owned-vertex updates and returns the
-// incoming updates for this rank's ghosts, via the configured mode.
-// It carries no tally; the balance/refine iterations use
-// exchangeSettle instead.
-func (s *state) exchange(q []dgraph.Update) []dgraph.Update {
-	if s.ex != nil {
-		return s.ex.Flush(q)
-	}
-	return s.g.ExchangeUpdates(q)
+// exchange ships the queued owned-vertex updates of a tally-free round
+// and applies the incoming updates to this rank's ghosts.
+func (s *state) exchange(q []dgraph.Update) {
+	in, _ := s.ex.FlushTally(q, nil)
+	s.applyGhostUpdates(in)
 }
 
 // takeTally snapshots this iteration's local part-size deltas into a
@@ -291,7 +219,7 @@ func (s *state) exchange(q []dgraph.Update) []dgraph.Update {
 // worker threads have joined by the time it runs, so the reads need no
 // atomics.
 func (s *state) takeTally(withEdges bool) []int64 {
-	t := make([]int64, s.roundTallyLen(withEdges))
+	t := make([]int64, s.tallyLen(withEdges))
 	copy(t[:s.p], s.cv)
 	if withEdges {
 		copy(t[s.p:2*s.p], s.ce)
@@ -303,64 +231,28 @@ func (s *state) takeTally(withEdges bool) []int64 {
 	return t
 }
 
-// exchangeSettle finishes one balance/refine iteration: it ships the
-// queued updates (with this rank's delta tally piggybacked in async
-// piggyback mode), applies the incoming ghost updates, and settles the
-// global part-size estimates. It returns the number of vertices that
-// moved, exact in every mode.
+// exchangeSettle finishes one balance/refine iteration (the
+// end-of-iteration block of Algorithms 4 and 5, extended with edge and
+// cut tallies): it ships the queued updates with this rank's delta
+// tally, applies the incoming ghost updates, and folds the global
+// deltas the exchanger settled into the size estimates. It returns the
+// number of vertices that moved, exact on both engines.
 func (s *state) exchangeSettle(q []dgraph.Update, withEdges bool) int64 {
-	if !s.piggyback() {
-		s.applyGhostUpdates(s.exchange(q))
-		return s.settleDeltas(withEdges)
-	}
-	own := s.takeTally(withEdges)
-	in, recv := s.ex.FlushTally(q, own)
+	in, tr := s.ex.FlushTally(q, s.takeTally(withEdges))
 	s.applyGhostUpdates(in)
-	return s.settlePiggyback(own, recv, withEdges)
-}
-
-// settlePiggyback folds this iteration's own and neighbor-received
-// delta tallies into the size estimates. piggyback() holds only on a
-// complete rank neighborhood, where own+received is the global delta,
-// so the estimates equal sync mode's on every iteration.
-func (s *state) settlePiggyback(own, recv []int64, withEdges bool) int64 {
 	var moved int64
 	for i := 0; i < s.p; i++ {
-		d := own[i] + recv[i]
+		d := tr.Sum(i)
 		if d > 0 {
 			moved += d
 		}
 		s.sv[i] += d
 		if withEdges {
-			s.se[i] += own[s.p+i] + recv[s.p+i]
-			s.sc[i] += own[2*s.p+i] + recv[2*s.p+i]
+			s.se[i] += tr.Sum(s.p + i)
+			s.sc[i] += tr.Sum(2*s.p + i)
 		}
 	}
 	return moved
-}
-
-// initTallyLen is the tally length initBFS propagation rounds carry:
-// one element (the rank's assignment counter) when the complete rank
-// neighborhood makes the piggybacked sum an exact termination test.
-func (s *state) initTallyLen() int {
-	if s.ex != nil && s.tallyExact {
-		return 1
-	}
-	return 0
-}
-
-// exchangeInitCount finishes one initBFS propagation round: it ships
-// the queued updates, applies incoming ghosts, and returns the global
-// number of assignments made this round — from the piggybacked
-// counters when exact, else by Allreduce.
-func (s *state) exchangeInitCount(q []dgraph.Update, local int64) int64 {
-	if s.initTallyLen() > 0 {
-		in, t := s.ex.FlushTally(q, []int64{local})
-		s.applyGhostUpdates(in)
-		return local + t[0]
-	}
-	s.applyGhostUpdates(s.exchange(q))
-	return mpi.AllreduceScalar(s.g.Comm, local, mpi.Sum)
 }
 
 // maxOf returns max(vals) as float64, floored at floor.

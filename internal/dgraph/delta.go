@@ -2,46 +2,47 @@ package dgraph
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 
 	"repro/internal/mpi"
 )
 
-// Asynchronous delta-only boundary exchange. The synchronous path
-// (exchangeRaw) re-derives each update's destinations from the
-// adjacency on every call and ships (gid, value) as two 64-bit
-// elements through a world-wide Alltoallv. This file precomputes the
-// boundary structure once per graph — for every neighbor rank, the
-// gid-sorted list of vertices shared with it — so updates name their
-// vertex by an index into the shared list instead of by global id and
-// travel over nonblocking point-to-point messages. Three flows ride
+// The delta engine of the Exchanger interface. Where the bulk engine
+// (bulk.go) re-derives each update's destinations from the adjacency
+// and ships (gid, value) as two 64-bit elements through a world-wide
+// Alltoallv, this file precomputes the boundary structure once per
+// graph — for every neighbour rank, the gid-sorted list of vertices
+// shared with it — so updates name their vertex by an index into the
+// shared list instead of by global id and travel over nonblocking
+// point-to-point messages. The three round kinds of the interface ride
 // the same plan, all split-phase (post, overlap compute, settle):
 //
-//   - Update flow (Begin/Flush, BeginTally/FlushTally): 32-bit part
-//     labels packed one element per update, with the receive side
-//     drained on a background goroutine while the rank's worker
-//     threads are still propagating labels, and an optional
-//     piggybacked tally frame (mpi.AppendTally) that lets a round
-//     double as the iteration's reduction.
-//   - Value flow (BeginValues/FlushValues): full 64-bit payloads
-//     owner → ghost, for the analytics helpers
-//     ExchangeInt64/ExchangeFloat64 and the overlapped analytics
-//     engines. Begin posts the sends and the drainer; the caller
-//     computes interior work while messages are in flight and settles
-//     ghosts at Flush.
-//   - Reverse flow (BeginPush/FlushPush): full 64-bit payloads
-//     ghost → owner, for frontier algorithms (PushToOwners).
+//   - Update rounds (BeginTally/FlushTally): 32-bit part labels packed
+//     one element per update, with the receive side drained on a
+//     background goroutine while the rank's worker threads are still
+//     propagating labels.
+//   - Value rounds (BeginValues/FlushValues/FlushCount): full 64-bit
+//     payloads owner → ghost. Begin posts the sends and the drainer;
+//     the caller computes interior work while messages are in flight
+//     and settles ghosts at Flush.
+//   - Push rounds (BeginPush/FlushPush): full 64-bit payloads ghost →
+//     owner, for frontier algorithms.
 //
-// Value rounds carry their tally frames per source (TallyRound)
-// instead of pre-summed, so float partial sums can be folded in global
-// rank order — bit-identical to the Allreduce they replace.
+// Tallies are settled here too. On a complete rank neighbourhood they
+// ride the messages as tally frames (mpi.AppendTally), kept per source
+// (TallyRound) so float partial sums fold in global rank order —
+// bit-identical to the Allreduce they replace — and a counted round's
+// convergence counter rides the NEXT counted round's messages (one
+// round of lag, reported by TallyRound.Lag). On an incomplete
+// neighbourhood the frames would miss non-neighbour ranks, so Flush
+// reduces the tally or counter by one exact Allreduce instead.
 //
 // Every round runs on a persistent per-exchanger drainer goroutine and
 // reusable encode/decode arenas, with transfer copies drawn from the
 // mpi world's buffer pool (Isend64/Recv64/Recycle64): a steady-state
-// round performs zero heap allocations on either side.
+// round on a complete neighbourhood performs zero heap allocations on
+// either side.
 //
 // Rounds are pipelined to a construction-time depth k (Graph's
 // SetPipeDepth knob, default DefaultPipeDepth): further Begin* calls
@@ -190,27 +191,22 @@ const DefaultPipeDepth = 2
 // shallower knob values are rejected at SetPipeDepth.
 const MinPipeDepth = 2
 
-// DeltaExchanger runs rounds of delta-only boundary exchange over
-// nonblocking point-to-point messages. Usage per update round,
-// collectively on every rank of the graph's communicator:
+// DeltaExchanger is the delta engine of the Exchanger interface:
+// rounds of delta-only boundary exchange over nonblocking
+// point-to-point messages. An update round, collectively on every rank
+// of the graph's communicator:
 //
-//	ex.Begin()                  // post receives, then compute locally
-//	in := ex.Flush(updates)     // ship deltas, collect incoming
+//	ex.BeginTally(n)                // post receives, then compute locally
+//	in, tr := ex.FlushTally(q, t)   // ship deltas, collect incoming
 //
-// Begin tells the exchanger's background drainer to receive and decode
-// each neighbor's message while the caller is still computing; Flush
-// sends this rank's queued updates (one message per boundary neighbor,
-// empty when nothing changed) and then joins the drainer. The
-// BeginTally/FlushTally variants additionally piggyback a small
-// reduction vector on the same messages, which is how the partitioner
-// settles part sizes without an Allreduce.
+// BeginTally tells the exchanger's background drainer to receive and
+// decode each neighbour's message while the caller is still computing;
+// FlushTally sends this rank's queued updates (one message per boundary
+// neighbour, empty when nothing changed) and then joins the drainer.
 //
-// The value flows are split-phase too: BeginValues/FlushValues ship
-// full 64-bit payloads owner → ghost, BeginPush/FlushPush ghost →
-// owner, both with optional per-source tally frames (TallyRound).
-// Begin posts the sends and the drainer, so the caller can compute
-// interior work while the messages are in flight; Flush joins and
-// returns the incoming pairs.
+// Value and push rounds post their sends at Begin, so the caller can
+// compute interior work while the messages are in flight; Flush joins
+// and returns the incoming pairs.
 //
 // Rounds pipeline to the graph's configured depth (SetPipeDepth,
 // default DefaultPipeDepth): after BeginValues (or BeginPush), further
@@ -223,14 +219,15 @@ const MinPipeDepth = 2
 // with per-wave round tags via SetRoundWave — on the same pipeline.
 //
 // Every rank must call the same sequence of rounds or peers deadlock,
-// exactly as they would skipping a collective. Calling Flush without
-// Begin is allowed (the receive side is posted on entry, losing only
-// overlap). Slices returned by a round alias per-exchanger arenas,
-// cycled modulo the depth: they stay valid for depth-1 subsequent
-// rounds (depth-1 Begin* calls after the Flush that returned them).
+// exactly as they would skipping a collective. Calling FlushTally
+// without BeginTally is allowed (the receive side is posted on entry,
+// losing only overlap). Slices returned by a round alias per-exchanger
+// arenas, cycled modulo the depth: they stay valid for depth-1
+// subsequent rounds (depth-1 Begin* calls after the Flush that
+// returned them).
 //
 // Construction (NewDeltaExchanger, Graph.AsyncExchanger) is collective:
-// it performs the one-time rank-neighborhood completeness Allreduce so
+// it performs the one-time rank-neighbourhood completeness Allreduce so
 // NeighborhoodComplete is a pure cached read afterwards. An exchanger
 // owns one background goroutine; Close releases it (graph teardown
 // calls it via Graph.Close, and a finalizer backstops leaks).
@@ -279,21 +276,29 @@ type DeltaExchanger struct {
 	// 1 yes, 2 no (0 only during construction itself).
 	complete int8
 
-	// Rounds counts completed rounds; MaxDepth is the high-water mark
-	// of simultaneously pending rounds (2 once a caller pipelines).
-	// Both are diagnostics for tests and the exchange experiment.
-	Rounds   int64
+	// carry is the frame of the pending counted round on a complete
+	// neighbourhood: the counter handed to the previous FlushCount
+	// (lastCount), then the optional carried maximum.
+	carry     [2]int64
+	lastCount int64
+	// fscratch holds a float tally's values for its fallback Allreduce.
+	fscratch []float64
+
+	// MaxDepth is the high-water mark of simultaneously pending rounds
+	// (2 once a caller pipelines), a diagnostic for tests.
 	MaxDepth int
 }
 
-// pendingRound is one posted-but-unflushed round: its kind, declared
-// tally frame length, the caller's own tally contribution (value
-// rounds), its sequence number (which selects the drainer arena), and
-// the composed (wave, seq) tag its messages carry.
+// pendingRound is one posted-but-unflushed round: its kind, the tally
+// the caller declared and the frame its messages actually carry (the
+// wire frame is empty when Flush reduces the tally by Allreduce), its
+// sequence number (which selects the drainer arena), and the composed
+// (wave, seq) tag its messages carry.
 type pendingRound struct {
 	kind     roundKind
+	tally    Tally
 	tallyLen int
-	ownTally []int64
+	wire     []int64
 	seq      uint32
 	tag      uint32
 }
@@ -575,24 +580,25 @@ func (ex *DeltaExchanger) gidsOf(lids []int32) []int64 {
 // BeginTally(0). Begin must be followed by exactly one Flush.
 func (ex *DeltaExchanger) Begin() { ex.BeginTally(0) }
 
-// post appends a round to the pending FIFO and hands its receive side
-// to the drainer, returning the round's message tag (the current wave
-// id composed with the round's sequence number). It panics when depth
-// rounds are already in flight, and when a value/push round would be
-// posted behind a pending update round: value-flow sends are eager
-// (Begin) while update-flow sends are deferred (Flush), so that
-// combination would put the value frames ahead of the update frames in
-// the pair FIFOs and skew every receiver. The converse — an update
-// round posted behind a value round — is fine, because flushes run
-// oldest-first and the update's deferred sends happen after the value
-// round has fully settled.
+// post appends round pr to the pending FIFO and hands its receive side
+// to the drainer, whose messages carry wireLen tally elements; it
+// returns the round's message tag (the current wave id composed with
+// the round's sequence number). It panics when depth rounds are
+// already in flight, and when a value/push round would be posted
+// behind a pending update round: value-flow sends are eager (Begin)
+// while update-flow sends are deferred (Flush), so that combination
+// would put the value frames ahead of the update frames in the pair
+// FIFOs and skew every receiver. The converse — an update round posted
+// behind a value round — is fine, because flushes run oldest-first and
+// the update's deferred sends happen after the value round has fully
+// settled.
 //
 //repro:hotpath
-func (ex *DeltaExchanger) post(kind roundKind, tallyLen int, ownTally []int64) uint32 {
+func (ex *DeltaExchanger) post(pr pendingRound, wireLen int) uint32 {
 	if ex.npend == ex.depth {
 		panic(fmt.Sprintf("dgraph: DeltaExchanger round posted with %d rounds already in flight (pipe depth %d)", ex.npend, ex.depth))
 	}
-	if kind != roundUpdates {
+	if pr.kind != roundUpdates {
 		for i := 0; i < ex.npend; i++ {
 			if ex.pend[i].kind == roundUpdates {
 				panic("dgraph: value round posted behind a pending update round (update sends are deferred to Flush; flush it first)")
@@ -601,16 +607,16 @@ func (ex *DeltaExchanger) post(kind roundKind, tallyLen int, ownTally []int64) u
 	}
 	//lint:ignore hotpathalloc ensureDrainer allocates only on its first call after construction or Close; steady-state rounds return at its nil check
 	ex.ensureDrainer()
-	s := ex.seq
+	pr.seq = ex.seq
 	ex.seq++
-	tag := mpi.RoundTag(ex.wave, s)
-	ex.pend[ex.npend] = pendingRound{kind: kind, tallyLen: tallyLen, ownTally: ownTally, seq: s, tag: tag}
+	pr.tag = mpi.RoundTag(ex.wave, pr.seq)
+	ex.pend[ex.npend] = pr
 	ex.npend++
 	if ex.npend > ex.MaxDepth {
 		ex.MaxDepth = ex.npend
 	}
-	ex.reqCh <- drainReq{kind: kind, tallyLen: tallyLen, seq: s, tag: tag}
-	return tag
+	ex.reqCh <- drainReq{kind: pr.kind, tallyLen: wireLen, seq: pr.seq, tag: pr.tag}
+	return pr.tag
 }
 
 // Depth returns the exchanger's construction-time pipeline depth.
@@ -624,9 +630,7 @@ func (ex *DeltaExchanger) Depth() int { return ex.depth }
 // Like the round sequence itself it must be set identically on every
 // rank; it never affects message matching.
 func (ex *DeltaExchanger) SetRoundWave(w int) {
-	if w < 0 || w > mpi.MaxTagWave {
-		panic(fmt.Sprintf("dgraph: SetRoundWave(%d) outside [0,%d]", w, mpi.MaxTagWave))
-	}
+	checkWave(w)
 	ex.wave = w
 }
 
@@ -634,12 +638,16 @@ func (ex *DeltaExchanger) SetRoundWave(w int) {
 // exchanger's background drainer takes one message from each boundary
 // neighbor as it arrives, decoding into ghost-lid updates while the
 // caller's compute is still in flight. tallyLen declares the length of
-// the piggybacked tally frame every neighbor's message will carry this
-// round (0 for none); the matching FlushTally must pass a tally of
-// exactly that length. Every BeginTally must eventually be matched by
-// exactly one Flush/FlushTally; flushes settle rounds oldest-first.
+// the tally the matching FlushTally passes (0 for none); on a complete
+// neighbourhood it rides every message as a frame. Every BeginTally
+// must eventually be matched by exactly one Flush/FlushTally; flushes
+// settle rounds oldest-first.
 func (ex *DeltaExchanger) BeginTally(tallyLen int) {
-	ex.post(roundUpdates, tallyLen, nil)
+	wireLen := 0
+	if ex.NeighborhoodComplete() {
+		wireLen = tallyLen
+	}
+	ex.post(pendingRound{kind: roundUpdates, tallyLen: tallyLen}, wireLen)
 }
 
 // join collects the oldest pending round's result from the drainer
@@ -655,30 +663,31 @@ func (ex *DeltaExchanger) join() drainResult {
 	if res.panicked != nil {
 		panic(res.panicked)
 	}
-	ex.Rounds++
 	return res
 }
 
-// Flush is FlushTally without a tally frame.
+// Flush is FlushTally without a tally.
 func (ex *DeltaExchanger) Flush(q []Update) []Update {
 	out, _ := ex.FlushTally(q, nil)
 	return out
 }
 
-// FlushTally encodes the round's owned-vertex updates, appends the
-// rank's tally frame, sends one message to every boundary neighbor —
-// tagged with the oldest pending update round's sequence number —
-// joins that round's drain (posting the round now if the caller
-// skipped Begin), and returns the updates received for this rank's
-// ghosts together with the element-wise sum of the neighbors' tallies
-// (nil when the round carries none). len(tally) must equal the round's
-// declared tallyLen on every rank — the tally is part of the message
-// framing, so a mismatch corrupts decoding on the peer. The returned
-// slices alias exchanger arenas and are valid until the round after
-// next is posted.
+// FlushTally encodes the round's owned-vertex updates, sends one
+// message to every boundary neighbor — tagged with the oldest pending
+// update round's sequence number, and carrying the rank's tally frame
+// on a complete neighbourhood — joins that round's drain (posting the
+// round now if the caller skipped Begin), and returns the updates
+// received for this rank's ghosts together with the round's global
+// tally sums: this rank's tally plus the neighbours' frames, or one
+// Allreduce on an incomplete neighbourhood. len(tally) must equal the
+// round's declared tallyLen on every rank — the tally is part of the
+// message framing, so a mismatch corrupts decoding on the peer. The
+// returned slices alias exchanger arenas and are valid until the round
+// after next is posted; tally must stay untouched while the TallyRound
+// is read.
 //
 //repro:hotpath
-func (ex *DeltaExchanger) FlushTally(q []Update, tally []int64) ([]Update, []int64) {
+func (ex *DeltaExchanger) FlushTally(q []Update, tally []int64) ([]Update, TallyRound) {
 	if ex.npend == 0 {
 		ex.BeginTally(len(tally))
 	}
@@ -688,6 +697,10 @@ func (ex *DeltaExchanger) FlushTally(q []Update, tally []int64) ([]Update, []int
 	}
 	if len(tally) != oldest.tallyLen {
 		panic(fmt.Sprintf("dgraph: FlushTally with tally length %d, Begin posted %d", len(tally), oldest.tallyLen))
+	}
+	var wire []int64
+	if ex.NeighborhoodComplete() {
+		wire = tally
 	}
 	plan := ex.plan
 	for i := range ex.sendBufs {
@@ -702,11 +715,17 @@ func (ex *DeltaExchanger) FlushTally(q []Update, tally []int64) ([]Update, []int
 		}
 	}
 	for i, dst := range plan.sendRanks {
-		ex.sendBufs[i] = mpi.AppendTally(ex.g.Comm, ex.sendBufs[i], tally)
+		ex.sendBufs[i] = mpi.AppendTally(ex.g.Comm, ex.sendBufs[i], wire)
 		mpi.Isend64Tag(ex.g.Comm, int(dst), oldest.tag, ex.sendBufs[i])
 	}
 	res := ex.join()
-	return res.updates, res.tally
+	switch {
+	case len(tally) == 0:
+		return res.updates, TallyRound{}
+	case wire == nil:
+		return res.updates, reduceTally(ex.g.Comm, tally, false, &ex.fscratch)
+	}
+	return res.updates, TallyRound{own: tally, flat: res.tally, n: len(tally)}
 }
 
 // NeighborhoodComplete reports whether every rank of the communicator
@@ -731,7 +750,7 @@ func (ex *DeltaExchanger) NeighborhoodComplete() bool {
 //	                            int32s per element, then k payloads
 //
 // Dense costs 1+n elements and sparse 1+⌈k/2⌉+k, against the
-// synchronous path's 2k (gid, payload) pairs — a 50% / 25% element
+// bulk engine's 2k (gid, payload) pairs — a 50% / 25% element
 // reduction. The dense form triggers exactly when a caller ships its
 // full boundary in lid order, PageRank-style.
 const denseHeader = -1
@@ -802,107 +821,100 @@ func decodeValues(rank int, msg []int64, list []int32, outL []int32, outP []int6
 	return outL, outP
 }
 
-// TallyRound is the piggybacked reduction one split-phase value round
-// collected: this rank's own contribution plus one frame per source
-// neighbor, kept separate so the caller controls fold order. On a
-// complete rank neighborhood the fold covers every rank, so it
-// replaces the round's Allreduce exactly.
-type TallyRound struct {
-	own  []int64
-	srcs []int32
-	flat []int64
-	n    int
-	rank int32
-}
-
-// Len returns the round's tally frame length.
-func (t TallyRound) Len() int { return t.n }
-
-// Sum returns own[i] plus entry i of every received frame — the global
-// sum for order-insensitive integer counters (convergence counts).
-func (t TallyRound) Sum(i int) int64 {
-	s := t.own[i]
-	for f := 0; f < len(t.srcs); f++ {
-		s += t.flat[f*t.n+i]
+// valueFrame returns the tally frame a value or push round's messages
+// carry: the declared Vals, or on a counted round the previous
+// round's counter (1, "not converged", on round 1) and the optional
+// maximum. It is empty on an incomplete neighbourhood, where Flush
+// reduces the tally by Allreduce instead.
+//
+//repro:hotpath
+func (ex *DeltaExchanger) valueFrame(t Tally) []int64 {
+	if !ex.NeighborhoodComplete() {
+		return nil
 	}
-	return s
-}
-
-// Max returns the maximum of own[i] and entry i of every received
-// frame — the global max for order-insensitive integer extrema (the
-// overlapped K-Core's coreness maximum). Entries absent from a frame
-// fold as that source's contribution of 0, so Max is meaningful only
-// for non-negative counters (like Sum, whose absent entries fold as 0).
-func (t TallyRound) Max(i int) int64 {
-	m := t.own[i]
-	for f := 0; f < len(t.srcs); f++ {
-		if v := t.flat[f*t.n+i]; v > m {
-			m = v
+	if t.Round <= 0 {
+		return t.Vals
+	}
+	for i := 0; i < ex.npend; i++ {
+		if ex.pend[i].tally.Round > 0 {
+			panic("dgraph: counted round posted while another is in flight (its counter is handed over at that round's FlushCount)")
 		}
 	}
-	return m
+	ex.carry[0] = ex.lastCount
+	if t.Round == 1 {
+		ex.carry[0] = 1
+	}
+	if t.Max == nil {
+		return ex.carry[:1]
+	}
+	ex.carry[1] = t.Max()
+	return ex.carry[:2]
 }
 
-// FoldFloatMax folds entry i as float64 bit patterns under max — the
-// max-combining counterpart of FoldFloat. Max over floats is exact in
-// any order (no rounding, unlike sums), so on complete neighborhoods
-// the result is bit-identical to the Allreduce(Max) it replaces
-// regardless of fold order. (SpMV's ∞-norm piggyback rests on the same
-// argument but inlines its fold — its expand messages are float64, not
-// tally frames.)
-func (t TallyRound) FoldFloatMax(i int) float64 {
-	m := math.Float64frombits(uint64(t.own[i]))
-	for f := 0; f < len(t.srcs); f++ {
-		if v := math.Float64frombits(uint64(t.flat[f*t.n+i])); v > m {
-			m = v
-		}
+// settleValues joins the oldest pending round, which must be of the
+// given kind and counted or not as the Flush variant says, and returns
+// its received pairs plus its tally settled for srcs, the round's
+// source ranks.
+//
+//repro:hotpath
+func (ex *DeltaExchanger) settleValues(kind roundKind, counted bool, count int64) ([]int32, []int64, TallyRound) {
+	if ex.npend == 0 || ex.pend[0].kind != kind {
+		panic("dgraph: Flush of a value or push round that is not the oldest in the pipeline")
 	}
-	return m
+	p := ex.pend[0]
+	checkTally(p.tally, counted)
+	res := ex.join()
+	srcs := ex.plan.recvRanks
+	if kind == roundValuesRev {
+		srcs = ex.plan.sendRanks
+	}
+	tr := TallyRound{own: p.wire, srcs: srcs, flat: res.tallies, n: len(p.wire), rank: int32(ex.g.Comm.Rank())}
+	switch {
+	case counted && p.wire == nil:
+		tr = reduceCount(ex.g.Comm, count)
+	case counted:
+		tr.count, tr.lag = tr.Sum(0), 1
+		if tr.n == 2 {
+			tr.max, tr.maxOK = tr.Max(1), true
+		}
+		ex.lastCount = count
+	case p.wire == nil && len(p.tally.Vals) > 0:
+		tr = reduceTally(ex.g.Comm, p.tally.Vals, p.tally.Float, &ex.fscratch)
+	}
+	return res.outL, res.outP, tr
 }
 
-// FoldFloat folds entry i as float64 bit patterns in ascending global
-// rank order, with this rank's own contribution at its rank position —
-// the exact accumulation order of mpi.Allreduce(Sum), so on complete
-// neighborhoods the result is bit-identical to the Allreduce it
-// replaces.
-func (t TallyRound) FoldFloat(i int) float64 {
-	var sum float64
-	first := true
-	add := func(bits int64) {
-		v := math.Float64frombits(uint64(bits))
-		if first {
-			sum, first = v, false
-			return
-		}
-		sum += v
+// postValues posts a value or push round whose pairs are staged per
+// destination in idx/val: it encodes one message per destination rank
+// against the pair's shared list into the enc arenas, appends the
+// round's tally frame, and sends.
+//
+//repro:hotpath
+func (ex *DeltaExchanger) postValues(kind roundKind, tally *Tally, ranks []int32, lists, idx [][]int32, val, enc [][]int64) {
+	t := tallyOf(tally)
+	wire := ex.valueFrame(t)
+	tag := ex.post(pendingRound{kind: kind, tally: t, wire: wire}, len(wire))
+	for i, dst := range ranks {
+		buf := encodeValues(enc[i][:0], len(lists[i]), idx[i], val[i])
+		enc[i] = mpi.AppendTally(ex.g.Comm, buf, wire)
+		mpi.Isend64Tag(ex.g.Comm, int(dst), tag, enc[i])
 	}
-	ownDone := false
-	for f, src := range t.srcs {
-		if !ownDone && t.rank < src {
-			add(t.own[i])
-			ownDone = true
-		}
-		add(t.flat[f*t.n+i])
-	}
-	if !ownDone {
-		add(t.own[i])
-	}
-	return sum
 }
 
 // BeginValues posts a split-phase owner → ghost value round: it encodes
 // and sends full 64-bit payloads for the given owned vertices to every
-// neighbor ghosting them — with the rank's tally frame appended to each
-// message (tally may be nil) — and tells the background drainer to
-// start collecting the symmetric incoming messages. The caller then
-// computes work that does not read ghost values (interior vertices)
-// while the messages are in flight, and settles with FlushValues. Up
-// to the exchanger's pipeline depth rounds may be posted before
-// flushing; lids and payloads are consumed before BeginValues returns,
-// but tally must stay untouched until the round's FlushValues returns.
+// neighbor ghosting them — with the round's tally frame appended to
+// each message — and tells the background drainer to start collecting
+// the symmetric incoming messages. The caller then computes work that
+// does not read ghost values (interior vertices) while the messages
+// are in flight, and settles with FlushValues (FlushCount for a counted
+// round). Up to the exchanger's pipeline depth rounds may be posted
+// before flushing; lids and payloads are consumed before BeginValues
+// returns, but tally.Vals must stay untouched until the round's Flush
+// returns.
 //
 //repro:hotpath
-func (ex *DeltaExchanger) BeginValues(lids []int32, payloads []int64, tally []int64) {
+func (ex *DeltaExchanger) BeginValues(lids []int32, payloads []int64, tally *Tally) {
 	plan := ex.plan
 	for i := range ex.fwdIdx {
 		ex.fwdIdx[i] = ex.fwdIdx[i][:0]
@@ -917,40 +929,40 @@ func (ex *DeltaExchanger) BeginValues(lids []int32, payloads []int64, tally []in
 			ex.fwdVal[t.rankPos] = append(ex.fwdVal[t.rankPos], payloads[qi])
 		}
 	}
-	tag := ex.post(roundValuesFwd, len(tally), tally)
-	for i, dst := range plan.sendRanks {
-		buf := encodeValues(ex.fwdEnc[i][:0], len(plan.sendLists[i]), ex.fwdIdx[i], ex.fwdVal[i])
-		buf = mpi.AppendTally(ex.g.Comm, buf, tally)
-		ex.fwdEnc[i] = buf
-		mpi.Isend64Tag(ex.g.Comm, int(dst), tag, buf)
-	}
+	ex.postValues(roundValuesFwd, tally, plan.sendRanks, plan.sendLists, ex.fwdIdx, ex.fwdVal, ex.fwdEnc)
 }
 
-// FlushValues joins the oldest pending round — which must be a
-// BeginValues round — and returns the (ghost lid, payload) pairs
-// received plus the round's tally frames. The returned slices alias
+// FlushValues joins the oldest pending round — which must be an
+// uncounted BeginValues round — and returns the (ghost lid, payload)
+// pairs received plus the round's tally. The returned slices alias
 // exchanger arenas and stay valid for depth-1 subsequent rounds.
 //
 //repro:hotpath
 func (ex *DeltaExchanger) FlushValues() ([]int32, []int64, TallyRound) {
-	if ex.npend == 0 || ex.pend[0].kind != roundValuesFwd {
-		panic("dgraph: FlushValues without a pending BeginValues round oldest in the pipeline")
-	}
-	own, n := ex.pend[0].ownTally, ex.pend[0].tallyLen
-	res := ex.join()
-	tr := TallyRound{own: own, srcs: ex.plan.recvRanks, flat: res.tallies, n: n, rank: int32(ex.g.Comm.Rank())}
-	return res.outL, res.outP, tr
+	return ex.settleValues(roundValuesFwd, false, 0)
+}
+
+// FlushCount is FlushValues for a counted round: it hands over this
+// rank's convergence counter for the round. On a complete
+// neighbourhood the counter rides the next counted round's messages,
+// so the TallyRound reports the previous round's global counter with
+// Lag 1 (and the carried maximum); on an incomplete one it is reduced
+// by Allreduce now, with Lag 0.
+//
+//repro:hotpath
+func (ex *DeltaExchanger) FlushCount(count int64) ([]int32, []int64, TallyRound) {
+	return ex.settleValues(roundValuesFwd, true, count)
 }
 
 // BeginPush posts a split-phase ghost → owner value round: payloads for
 // the given ghost vertices travel to their owning ranks, with the
-// rank's tally frame appended to each message. Settle with FlushPush.
+// round's tally frame appended to each message. Settle with FlushPush.
 // Like BeginValues it may be posted while one earlier round is still
 // in flight — the overlapped BFS posts the next depth's discovery push
 // while the previous depth's ghost refresh is still pending.
 //
 //repro:hotpath
-func (ex *DeltaExchanger) BeginPush(lids []int32, payloads []int64, tally []int64) {
+func (ex *DeltaExchanger) BeginPush(lids []int32, payloads []int64, tally *Tally) {
 	plan := ex.plan
 	for i := range ex.revIdx {
 		ex.revIdx[i] = ex.revIdx[i][:0]
@@ -965,27 +977,15 @@ func (ex *DeltaExchanger) BeginPush(lids []int32, payloads []int64, tally []int6
 		ex.revIdx[pos] = append(ex.revIdx[pos], plan.ghostIdx[gi])
 		ex.revVal[pos] = append(ex.revVal[pos], payloads[qi])
 	}
-	tag := ex.post(roundValuesRev, len(tally), tally)
-	for i, dst := range plan.recvRanks {
-		buf := encodeValues(ex.revEnc[i][:0], len(plan.recvLists[i]), ex.revIdx[i], ex.revVal[i])
-		buf = mpi.AppendTally(ex.g.Comm, buf, tally)
-		ex.revEnc[i] = buf
-		mpi.Isend64Tag(ex.g.Comm, int(dst), tag, buf)
-	}
+	ex.postValues(roundValuesRev, tally, plan.recvRanks, plan.recvLists, ex.revIdx, ex.revVal, ex.revEnc)
 }
 
 // FlushPush joins the oldest pending round — which must be a BeginPush
 // round — and returns the (owned lid, payload) pairs received plus the
-// round's tally frames. The returned slices alias exchanger arenas and
-// stay valid for depth-1 subsequent rounds.
+// round's tally. The returned slices alias exchanger arenas and stay
+// valid for depth-1 subsequent rounds.
 //
 //repro:hotpath
 func (ex *DeltaExchanger) FlushPush() ([]int32, []int64, TallyRound) {
-	if ex.npend == 0 || ex.pend[0].kind != roundValuesRev {
-		panic("dgraph: FlushPush without a pending BeginPush round oldest in the pipeline")
-	}
-	own, n := ex.pend[0].ownTally, ex.pend[0].tallyLen
-	res := ex.join()
-	tr := TallyRound{own: own, srcs: ex.plan.sendRanks, flat: res.tallies, n: n, rank: int32(ex.g.Comm.Rank())}
-	return res.outL, res.outP, tr
+	return ex.settleValues(roundValuesRev, false, 0)
 }

@@ -129,7 +129,7 @@ func TestDeltaExchangerHalvesWireVolume(t *testing.T) {
 		}
 
 		c.ResetStats()
-		dg.ExchangeUpdates(q)
+		syncUpdates(dg, q)
 		syncSent := c.Stats().ElemsSent
 
 		c.ResetStats()
@@ -186,7 +186,7 @@ func TestDeltaExchangerSparseRounds(t *testing.T) {
 					q = append(q, Update{LID: v, Value: round*1000 + int32(dg.L2G[v]%997)})
 				}
 			}
-			for _, upd := range dg.ExchangeUpdates(q) {
+			for _, upd := range syncUpdates(dg, q) {
 				want[upd.LID] = upd.Value
 			}
 		}
@@ -227,7 +227,7 @@ func benchExchangeRound(b *testing.B, async bool) {
 			if async {
 				ex.Flush(q)
 			} else {
-				dg.ExchangeUpdates(q)
+				syncUpdates(dg, q)
 			}
 		}
 	})

@@ -2,12 +2,10 @@ package dgraph
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/par"
 )
 
 // Graph is one rank's share of a distributed undirected graph: a CSR
@@ -51,8 +49,10 @@ type Graph struct {
 	boundary     []int32
 	interior     []int32
 	boundaryMark []bool
-	// deltaEx caches the graph's delta exchanger (AsyncExchanger).
+	// deltaEx and bulkEx cache the graph's two exchange engines
+	// (ExchangerFor).
 	deltaEx *DeltaExchanger
+	bulkEx  *BulkExchanger
 	// async records the exchange-engine selection (SetAsyncExchange).
 	async bool
 	// pipeDepth is the exchange-pipeline depth knob (SetPipeDepth).
@@ -249,141 +249,6 @@ type Update struct {
 	Value int32
 }
 
-// exchangeRaw is the bulk-synchronous boundary-exchange engine
-// (Algorithm 3): for each queued owned-vertex update, send
-// (gid, payload) to every neighboring rank that holds the vertex as a
-// ghost through a world-wide Alltoallv, and return the updates
-// received for this rank's ghosts (translated back to local ghost
-// ids). The asynchronous counterpart — packed per-neighbor
-// point-to-point messages over a precomputed boundary plan — lives in
-// delta.go. Both passes over the queue — counting and buffer
-// filling — run across the rank's worker threads with thread-local
-// count arrays merged at the end, exactly the scheme the paper reports
-// as faster than atomics.
-func (g *Graph) exchangeRaw(lids []int32, payloads []int64) (outLIDs []int32, outPayloads []int64) {
-	nprocs := g.Comm.Size()
-	me := g.Comm.Rank()
-	threads := g.Comm.Threads()
-	if threads > len(lids) {
-		threads = len(lids)
-	}
-	if threads < 1 {
-		threads = 1
-	}
-
-	// Pass 1: count items per destination, one count array per thread.
-	threadCounts := make([][]int, threads)
-	par.ForChunk(0, len(lids), threads, func(lo, hi, tid int) {
-		counts := make([]int, nprocs)
-		toSend := make([]bool, nprocs)
-		for qi := lo; qi < hi; qi++ {
-			for r := range toSend {
-				toSend[r] = false
-			}
-			for _, u := range g.Neighbors(lids[qi]) {
-				if !g.IsGhost(u) {
-					continue
-				}
-				task := int(g.GhostOwner[int(u)-g.NLocal])
-				if task != me && !toSend[task] {
-					toSend[task] = true
-					counts[task] += 2
-				}
-			}
-		}
-		threadCounts[tid] = counts
-	})
-	// Merge: each thread's writes go to a distinct region per
-	// destination, laid out [dst][tid] so the wire format stays
-	// destination-major.
-	sendCounts := make([]int, nprocs)
-	for _, tc := range threadCounts {
-		if tc == nil {
-			continue
-		}
-		for r, c := range tc {
-			sendCounts[r] += c
-		}
-	}
-	sendOffsets := make([]int, nprocs+1)
-	for r := 0; r < nprocs; r++ {
-		sendOffsets[r+1] = sendOffsets[r] + sendCounts[r]
-	}
-	// threadOffsets[tid][dst]: where thread tid writes for destination
-	// dst (exclusive prefix over threads within each destination).
-	threadOffsets := make([][]int, threads)
-	for tid := range threadOffsets {
-		threadOffsets[tid] = make([]int, nprocs)
-	}
-	for r := 0; r < nprocs; r++ {
-		pos := sendOffsets[r]
-		for tid := 0; tid < threads; tid++ {
-			threadOffsets[tid][r] = pos
-			if threadCounts[tid] != nil {
-				pos += threadCounts[tid][r]
-			}
-		}
-	}
-
-	// Pass 2: fill the send buffer, each thread into its own regions.
-	sendBuf := make([]int64, sendOffsets[nprocs])
-	par.ForChunk(0, len(lids), threads, func(lo, hi, tid int) {
-		cursor := threadOffsets[tid]
-		toSend := make([]bool, nprocs)
-		for qi := lo; qi < hi; qi++ {
-			lid := lids[qi]
-			for r := range toSend {
-				toSend[r] = false
-			}
-			for _, u := range g.Neighbors(lid) {
-				if !g.IsGhost(u) {
-					continue
-				}
-				task := int(g.GhostOwner[int(u)-g.NLocal])
-				if task != me && !toSend[task] {
-					toSend[task] = true
-					sendBuf[cursor[task]] = g.L2G[lid]
-					sendBuf[cursor[task]+1] = payloads[qi]
-					cursor[task] += 2
-				}
-			}
-		}
-	})
-
-	recv, _ := mpi.Alltoallv(g.Comm, sendBuf, sendCounts)
-	outLIDs = make([]int32, 0, len(recv)/2)
-	outPayloads = make([]int64, 0, len(recv)/2)
-	for i := 0; i < len(recv); i += 2 {
-		lid, ok := g.G2L[recv[i]]
-		if !ok {
-			// The sender believed we ghost this vertex but we do not;
-			// with a correct boundary map this cannot happen.
-			panic(fmt.Sprintf("dgraph: rank %d received update for unknown gid %d", me, recv[i]))
-		}
-		outLIDs = append(outLIDs, lid)
-		outPayloads = append(outPayloads, recv[i+1])
-	}
-	return outLIDs, outPayloads
-}
-
-// ExchangeUpdates exchanges int32-valued boundary updates (part
-// labels) over the bulk-synchronous engine; the partitioner's async
-// mode uses DeltaExchanger.Flush instead.
-func (g *Graph) ExchangeUpdates(q []Update) []Update {
-	lids := make([]int32, len(q))
-	payloads := make([]int64, len(q))
-	for i, upd := range q {
-		lids[i] = upd.LID
-		payloads[i] = int64(upd.Value)
-	}
-	outL, outP := g.exchangeRaw(lids, payloads)
-	out := make([]Update, len(outL))
-	for i := range outL {
-		out[i] = Update{LID: outL[i], Value: int32(outP[i])}
-	}
-	return out
-}
-
 // AsyncExchanger returns the graph's delta exchanger, building the
 // shared boundary plan — and running the one-time collective
 // rank-neighborhood completeness detection — on first use, so the
@@ -444,14 +309,13 @@ func (g *Graph) normalizePipeDepth(d int) int {
 	return d
 }
 
-// SetAsyncExchange selects the exchange engine the graph's consumers
-// (the analytics kernels) run on: false (the default) keeps the
-// bulk-synchronous Alltoallv helpers (ExchangeInt64, ExchangeFloat64,
-// PushToOwners), true builds the async delta exchanger, whose
-// split-phase rounds the kernels drive directly. Every rank of the
-// communicator must select the same mode — the two engines have
-// different collective footprints and mixing them deadlocks, exactly
-// like mismatched collectives under MPI.
+// SetAsyncExchange selects the exchange engine Exchanger hands out to
+// the graph's consumers (the analytics kernels): false (the default)
+// the bulk-synchronous BulkExchanger, true the delta engine, which it
+// builds now (a collective, see NewDeltaExchanger). Every rank of the
+// communicator must select the same engine — the two have different
+// collective footprints and mixing them deadlocks, exactly like
+// mismatched collectives under MPI.
 func (g *Graph) SetAsyncExchange(on bool) {
 	g.async = on
 	if on {
@@ -459,35 +323,21 @@ func (g *Graph) SetAsyncExchange(on bool) {
 	}
 }
 
-// AsyncExchange reports the engine selection (see SetAsyncExchange).
-func (g *Graph) AsyncExchange() bool { return g.async }
+// Exchanger returns the engine SetAsyncExchange selected.
+func (g *Graph) Exchanger() Exchanger { return g.ExchangerFor(g.async) }
 
-// ExchangeInt64 pushes 64-bit values (labels, core numbers, levels) for
-// the given owned vertices to the ranks ghosting them over the
-// bulk-synchronous Alltoallv engine and applies the symmetric incoming
-// updates into vals (indexed by local id).
-func (g *Graph) ExchangeInt64(lids []int32, vals []int64) {
-	payloads := make([]int64, len(lids))
-	for i, lid := range lids {
-		payloads[i] = vals[lid]
+// ExchangerFor returns the graph's delta engine (async, built on first
+// use — collectively, see AsyncExchanger) or its bulk-synchronous
+// engine (built locally). Both are cached and shared by every consumer
+// of the graph.
+func (g *Graph) ExchangerFor(async bool) Exchanger {
+	if async {
+		return g.AsyncExchanger()
 	}
-	outL, outP := g.exchangeRaw(lids, payloads)
-	for i, lid := range outL {
-		vals[lid] = outP[i]
+	if g.bulkEx == nil {
+		g.bulkEx = newBulkExchanger(g)
 	}
-}
-
-// ExchangeFloat64 is ExchangeInt64 for float64 values (ranks, scores),
-// shipped bit-exactly.
-func (g *Graph) ExchangeFloat64(lids []int32, vals []float64) {
-	payloads := make([]int64, len(lids))
-	for i, lid := range lids {
-		payloads[i] = int64(math.Float64bits(vals[lid]))
-	}
-	outL, outP := g.exchangeRaw(lids, payloads)
-	for i, lid := range outL {
-		vals[lid] = math.Float64frombits(uint64(outP[i]))
-	}
+	return g.bulkEx
 }
 
 // BoundaryVertices returns the owned local ids that have at least one
@@ -596,47 +446,4 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PushToOwners sends payloads for the given ghost local ids to the
-// ranks that own them — the reverse direction of the owner → ghost
-// exchanges, needed by frontier algorithms (BFS) where a rank
-// discovers vertices it does not own. It returns the received pairs
-// translated to owned local ids. Like the forward helpers it ships
-// (gid, payload) pairs over Alltoallv; the async engine's counterpart
-// is DeltaExchanger.BeginPush/FlushPush.
-func (g *Graph) PushToOwners(lids []int32, payloads []int64) ([]int32, []int64) {
-	nprocs := g.Comm.Size()
-	sendCounts := make([]int, nprocs)
-	for _, lid := range lids {
-		if !g.IsGhost(lid) {
-			panic(fmt.Sprintf("dgraph: PushToOwners with owned lid %d", lid))
-		}
-		sendCounts[g.GhostOwner[int(lid)-g.NLocal]] += 2
-	}
-	sendOffsets := make([]int, nprocs+1)
-	for r := 0; r < nprocs; r++ {
-		sendOffsets[r+1] = sendOffsets[r] + sendCounts[r]
-	}
-	sendBuf := make([]int64, sendOffsets[nprocs])
-	tmp := make([]int, nprocs)
-	copy(tmp, sendOffsets[:nprocs])
-	for i, lid := range lids {
-		task := g.GhostOwner[int(lid)-g.NLocal]
-		sendBuf[tmp[task]] = g.L2G[lid]
-		sendBuf[tmp[task]+1] = payloads[i]
-		tmp[task] += 2
-	}
-	recv, _ := mpi.Alltoallv(g.Comm, sendBuf, sendCounts)
-	outL := make([]int32, 0, len(recv)/2)
-	outP := make([]int64, 0, len(recv)/2)
-	for i := 0; i < len(recv); i += 2 {
-		lid, ok := g.G2L[recv[i]]
-		if !ok || g.IsGhost(lid) {
-			panic(fmt.Sprintf("dgraph: rank %d received push for gid %d it does not own", g.Comm.Rank(), recv[i]))
-		}
-		outL = append(outL, lid)
-		outP = append(outP, recv[i+1])
-	}
-	return outL, outP
 }

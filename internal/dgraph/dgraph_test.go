@@ -195,7 +195,7 @@ func TestExchangeUpdatesPropagatesToGhosts(t *testing.T) {
 			vals[v] = int32(dg.L2G[v] % 1000)
 			q[v] = Update{LID: int32(v), Value: vals[v]}
 		}
-		recv := dg.ExchangeUpdates(q)
+		recv := syncUpdates(dg, q)
 		for _, upd := range recv {
 			if !dg.IsGhost(upd.LID) {
 				t.Errorf("rank %d received update for owned vertex", c.Rank())
@@ -228,7 +228,7 @@ func TestExchangeUpdatesOnlyTouchedVertices(t *testing.T) {
 		if dg.NLocal > 0 {
 			q = append(q, Update{LID: 0, Value: 7})
 		}
-		recv := dg.ExchangeUpdates(q)
+		recv := syncUpdates(dg, q)
 		// Received updates must reference ghosts whose gid is one of the
 		// announced vertices (gid = first owned vertex of some rank).
 		firstOwned := mpi.Allgatherv(c, dg.L2G[:1])
@@ -336,7 +336,7 @@ func TestExchangeUpdatesThreadedMatchesSerial(t *testing.T) {
 			for v := 0; v < dg.NLocal; v++ {
 				q[v] = Update{LID: int32(v), Value: int32(dg.L2G[v] % 997)}
 			}
-			recv := dg.ExchangeUpdates(q)
+			recv := syncUpdates(dg, q)
 			pairs := make([]int64, 0, 2*len(recv)) // (gid, value) words
 			for _, u := range recv {
 				pairs = append(pairs, dg.L2G[u.LID], int64(u.Value))
@@ -373,7 +373,7 @@ func TestExchangeEmptyQueueAllRanks(t *testing.T) {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
-		if recv := dg.ExchangeUpdates(nil); len(recv) != 0 {
+		if recv := syncUpdates(dg, nil); len(recv) != 0 {
 			t.Errorf("rank %d received %d updates from empty exchange", c.Rank(), len(recv))
 		}
 	})
@@ -425,6 +425,6 @@ func TestPushToOwnersRejectsOwnedLID(t *testing.T) {
 				t.Errorf("rank %d: expected panic for owned lid", c.Rank())
 			}
 		}()
-		dg.PushToOwners([]int32{0}, []int64{1})
+		syncPush(dg, []int32{0}, []int64{1})
 	})
 }

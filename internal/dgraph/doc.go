@@ -13,53 +13,50 @@
 // Distribution implementations (BlockDist, HashDist, PartsDist) map
 // global vertex ids to owning ranks.
 //
-// # Boundary exchange: two transports
+// # Boundary exchange: one round interface, two engines
 //
 // Every iterative algorithm on the shard pushes changed owned-vertex
 // values to the ranks ghosting them (and, for frontier algorithms, the
-// reverse). Two interchangeable transports implement this:
+// reverse), then reduces a global quantity. Both halves are one round
+// of the Exchanger interface (exchanger.go): Begin* posts it, Flush*
+// settles it and returns the received pairs plus the round's reduced
+// tally (TallyRound) — part-size deltas, a float partial sum, or a
+// convergence counter. The kernels are written once against it, and
+// Graph.Exchanger hands out the engine SetAsyncExchange selected:
 //
-//   - Synchronous (exchangeRaw, ExchangeUpdates): destinations are
-//     re-derived from the adjacency every call and (gid, value) pairs
-//     ship through a world-wide mpi.Alltoallv.
-//   - Asynchronous delta (DeltaExchanger, delta.go): the boundary
-//     structure is precomputed once — for every neighbor rank, the
-//     gid-sorted list of shared vertices, derived independently and
-//     identically on both sides of each pair — so updates name
-//     vertices by shared-list index, travel as packed elements over
-//     nonblocking point-to-point messages, and the receive side drains
-//     on a persistent background goroutine concurrently with local
-//     compute. Every flow is split-phase (Begin/Flush,
-//     BeginValues/FlushValues, BeginPush/FlushPush) and rounds
-//     pipeline to a construction-time depth knob (SetPipeDepth,
-//     default DefaultPipeDepth) — further Begin* calls may be posted
-//     while earlier rounds' Flushes are still outstanding, with each
-//     round's messages stamped with its sequence number (composed
-//     with an optional wave id, SetRoundWave) as an mpi round tag and
-//     flushes settling rounds oldest-first. Messages may
-//     additionally piggyback tally frames (mpi.AppendTally) so an
-//     exchange round doubles as a reduction, with value rounds keeping
-//     the frames per source (TallyRound) so float partial sums fold in
-//     global rank order (and extrema max-combine exactly: Max,
-//     FoldFloatMax). Steady-state rounds allocate nothing: encode
-//     buffers are per-exchanger arenas, decode buffers are drainer
-//     arenas double-buffered by round parity, and transfer copies come
-//     from the mpi buffer pool.
+//   - BulkExchanger (bulk.go), the paper's bulk-synchronous baseline:
+//     destinations are re-derived from the adjacency, (gid, value)
+//     pairs ship through one world-wide mpi.Alltoallv per round, and a
+//     round's tally costs one Allreduce. Depth 1; no collective at
+//     construction.
+//   - DeltaExchanger (delta.go): the boundary structure is precomputed
+//     once — for every neighbor rank, the gid-sorted list of shared
+//     vertices, derived independently and identically on both sides
+//     of each pair — so updates name vertices by shared-list index,
+//     travel as packed elements over nonblocking point-to-point
+//     messages, and the receive side drains on a persistent background
+//     goroutine concurrently with local compute. Rounds pipeline to a
+//     construction-time depth (SetPipeDepth, default
+//     DefaultPipeDepth), each stamped with its sequence number
+//     (composed with an optional wave id, SetRoundWave) as an mpi
+//     round tag; flushes settle rounds oldest-first. When every rank
+//     neighbors every other, tallies ride the messages as frames
+//     (mpi.AppendTally), kept per source so float sums fold in global
+//     rank order, and a counted round's convergence counter rides the
+//     next round's messages, one round late (TallyRound.Lag); on other
+//     topologies Flush settles them by one exact Allreduce. Steady-state
+//     rounds allocate nothing: encode buffers are per-exchanger arenas,
+//     decode buffers are drainer arenas cycled modulo the depth, and
+//     transfer copies come from the mpi buffer pool.
 //
-// Exchanger construction is collective (it runs the one-time
+// Delta construction is collective (it runs the one-time
 // rank-neighborhood completeness Allreduce so NeighborhoodComplete is
-// a pure cached read), and every exchanger owns one drainer goroutine
-// released by DeltaExchanger.Close — Graph.Close calls it at teardown;
-// a finalizer exists only as a backstop for dropped exchangers.
-//
-// The generic helpers (ExchangeInt64, ExchangeFloat64, PushToOwners)
-// are the bulk-synchronous engine. SetAsyncExchange selects the delta
-// engine instead: the partitioner drives its update flow (Begin/Flush)
-// directly, and the overlapped analytics engines drive the split-phase
-// value flows (BFS keeping two rounds in flight, the multi-wave HC
-// engine keeping two per wave). Both engines deliver identical results — the choice is pure
-// transport, observable only in mpi.Stats traffic counters and wall
-// time.
+// a pure cached read), and every delta exchanger owns one drainer
+// goroutine released by DeltaExchanger.Close — Graph.Close calls it at
+// teardown; a finalizer exists only as a backstop for dropped
+// exchangers. Both engines deliver identical results — the choice is
+// pure transport, observable only in mpi.Stats traffic counters and
+// wall time.
 //
 // # Hot-path annotation
 //

@@ -71,7 +71,7 @@ func TestFlushValuesSteadyStateAllocFree(t *testing.T) {
 		for i, v := range bv {
 			payload[i] = int64(v) * 3
 		}
-		tally := []int64{1}
+		tally := &Tally{Vals: []int64{1}}
 		return func() {
 			ex.BeginValues(bv, payload, tally)
 			ex.FlushValues()
@@ -114,7 +114,7 @@ func BenchmarkFlushValuesSteadyState(b *testing.B) {
 		for i, v := range bv {
 			payload[i] = int64(v)
 		}
-		tally := []int64{1}
+		tally := &Tally{Vals: []int64{1}}
 		benchWarmupReset(b, c, func() {
 			ex.BeginValues(bv, payload, tally)
 			ex.FlushValues()

@@ -133,7 +133,7 @@ func TestPipelinedValueRoundsMatchSequential(t *testing.T) {
 				for i, v := range bv {
 					payload[i] = payloadFor(r, v)
 				}
-				ex.BeginValues(bv, payload, tallies[r])
+				ex.BeginValues(bv, payload, &Tally{Vals: tallies[r], Float: true})
 			}
 			if !pipelined {
 				for r := 0; r < rounds; r++ {
@@ -261,7 +261,7 @@ func TestPipelinedRoundsSteadyStateAllocFree(t *testing.T) {
 		for i, v := range bv {
 			payload[i] = int64(v) * 3
 		}
-		tally := []int64{1}
+		tally := &Tally{Vals: []int64{1}}
 		pending := 0
 		return func() {
 			ex.BeginValues(bv, payload, tally)
@@ -295,7 +295,7 @@ func TestTallyRoundMaxFolds(t *testing.T) {
 		me := int64(c.Rank())
 		f := 1.5 * float64(c.Rank()+1)
 		tally := []int64{me * 10, int64(math.Float64bits(f))}
-		ex.BeginValues(nil, nil, tally)
+		ex.BeginValues(nil, nil, &Tally{Vals: tally})
 		_, _, tr := ex.FlushValues()
 		if got, want := tr.Max(0), int64((ranks-1)*10); got != want {
 			t.Errorf("rank %d: Max = %d, want %d", c.Rank(), got, want)
@@ -471,7 +471,7 @@ func TestDeepPipelineRoundsMatchSequential(t *testing.T) {
 				for i, v := range bv {
 					payload[i] = payloadFor(r, v)
 				}
-				ex.BeginValues(bv, payload, tallies[r])
+				ex.BeginValues(bv, payload, &Tally{Vals: tallies[r], Float: true})
 			}
 			settle := func(r int) {
 				outL, outP, tr := ex.FlushValues()

@@ -26,8 +26,8 @@ func pairSet(lids []int32, vals []int64) [][2]int64 {
 
 // The delta engine's value flows must deliver exactly what the
 // synchronous Alltoallv helpers deliver, for both the owner → ghost
-// direction (BeginValues/FlushValues against ExchangeInt64) and the
-// ghost → owner direction (BeginPush/FlushPush against PushToOwners).
+// direction (BeginValues/FlushValues against the bulk engine) and the
+// ghost → owner direction (BeginPush/FlushPush against the bulk push).
 func TestValueFlowsMatchSyncTransport(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -51,7 +51,7 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 			}
 		}
 		syncVals := append([]int64(nil), base...)
-		dg.ExchangeInt64(lids, syncVals)
+		syncInt64(dg, lids, syncVals)
 		asyncVals := append([]int64(nil), base...)
 		payloads := make([]int64, len(lids))
 		for i, lid := range lids {
@@ -65,7 +65,7 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 		}
 		for i := range syncVals {
 			if syncVals[i] != asyncVals[i] {
-				t.Errorf("rank %d: ExchangeInt64 diverges at lid %d: sync %d async %d",
+				t.Errorf("rank %d: value round diverges at lid %d: sync %d async %d",
 					c.Rank(), i, syncVals[i], asyncVals[i])
 				return
 			}
@@ -81,17 +81,17 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 				payloads = append(payloads, dg.L2G[lid]*13%997)
 			}
 		}
-		sL, sP := dg.PushToOwners(ghosts, payloads)
+		sL, sP := syncPush(dg, ghosts, payloads)
 		ex.BeginPush(ghosts, payloads, nil)
 		aL, aP, _ := ex.FlushPush()
 		sp, ap := pairSet(sL, sP), pairSet(aL, aP)
 		if len(sp) != len(ap) {
-			t.Errorf("rank %d: PushToOwners delivered %d pairs async, %d sync", c.Rank(), len(ap), len(sp))
+			t.Errorf("rank %d: push round delivered %d pairs async, %d sync", c.Rank(), len(ap), len(sp))
 			return
 		}
 		for i := range sp {
 			if sp[i] != ap[i] {
-				t.Errorf("rank %d: PushToOwners pair %d: sync %v async %v", c.Rank(), i, sp[i], ap[i])
+				t.Errorf("rank %d: push pair %d: sync %v async %v", c.Rank(), i, sp[i], ap[i])
 				return
 			}
 		}
@@ -100,7 +100,7 @@ func TestValueFlowsMatchSyncTransport(t *testing.T) {
 
 // Float payloads must travel bit-exactly through both engines: the
 // delta engine's value flow carries math.Float64bits words and must
-// land what ExchangeFloat64 lands.
+// land what the bulk engine lands.
 func TestValueFlowFloat64BitExact(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -119,7 +119,7 @@ func TestValueFlowFloat64BitExact(t *testing.T) {
 			return vals
 		}
 		syncVals, asyncVals := mk(), mk()
-		dg.ExchangeFloat64(bv, syncVals)
+		syncFloat64(dg, bv, syncVals)
 		payloads := make([]int64, len(bv))
 		for i, lid := range bv {
 			payloads[i] = int64(math.Float64bits(asyncVals[lid]))
@@ -159,7 +159,7 @@ func TestValueFlowDenseEncodingVolume(t *testing.T) {
 		}
 
 		c.ResetStats()
-		dg.ExchangeInt64(bv, vals)
+		syncInt64(dg, bv, vals)
 		syncSent := c.Stats().ElemsSent
 
 		ex := dg.AsyncExchanger()
@@ -185,8 +185,9 @@ func TestValueFlowDenseEncodingVolume(t *testing.T) {
 	})
 }
 
-// FlushTally must hand back the element-wise sum of every neighbor's
-// tally — on a complete rank neighborhood, the sum over all peers.
+// FlushTally must hand back the element-wise sum of this rank's tally
+// and every neighbor's — on a complete rank neighborhood, the sum over
+// all ranks, with no Allreduce.
 func TestFlushTallySumsNeighborTallies(t *testing.T) {
 	g := gen.ER(300, 1500, 11)
 	const ranks = 4
@@ -204,11 +205,15 @@ func TestFlushTallySumsNeighborTallies(t *testing.T) {
 		}
 		me := int64(c.Rank())
 		ex.BeginTally(3)
-		_, sum := ex.FlushTally(nil, []int64{me, me * 10, 1})
-		wantAll := int64(ranks * (ranks - 1) / 2) // 0+1+2+3 minus me
-		want := [3]int64{wantAll - me, (wantAll - me) * 10, ranks - 1}
-		if sum[0] != want[0] || sum[1] != want[1] || sum[2] != want[2] {
+		c.ResetStats()
+		_, tr := ex.FlushTally(nil, []int64{me, me * 10, 1})
+		wantAll := int64(ranks * (ranks - 1) / 2) // 0+1+2+3
+		want := [3]int64{wantAll, wantAll * 10, ranks}
+		if sum := [3]int64{tr.Sum(0), tr.Sum(1), tr.Sum(2)}; sum != want {
 			t.Errorf("rank %d: tally sum %v, want %v", c.Rank(), sum, want)
+		}
+		if red := c.Stats().ReductionOps; red != 0 {
+			t.Errorf("rank %d: piggybacked tally cost %d Allreduces", c.Rank(), red)
 		}
 	})
 }

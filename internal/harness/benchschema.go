@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // exchangeDoc is the BENCH_exchange.json document shape — written by
@@ -157,6 +158,109 @@ func ValidateExchangeJSON(path string) error {
 		if paths[want] == 0 {
 			return fmt.Errorf("benchcheck: %s: no %s rows", path, want)
 		}
+	}
+	return nil
+}
+
+// benchKey identifies one measurement row across two artifacts.
+type benchKey struct {
+	path, graph, mode, layout string
+	ranks, threads            int
+}
+
+func (k benchKey) String() string {
+	s := fmt.Sprintf("%s/%s ranks=%d threads=%d %s", k.path, k.graph, k.ranks, k.threads, k.mode)
+	if k.layout != "" {
+		s += " " + k.layout
+	}
+	return s
+}
+
+// readExchangeRows parses an artifact and indexes its rows by key.
+func readExchangeRows(path string) (map[benchKey]ExchangeRow, []benchKey, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("benchcheck: %w", err)
+	}
+	var doc exchangeDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, nil, fmt.Errorf("benchcheck: %s: %w", path, err)
+	}
+	rows := make(map[benchKey]ExchangeRow, len(doc.Rows))
+	keys := make([]benchKey, 0, len(doc.Rows))
+	for _, r := range doc.Rows {
+		k := benchKey{r.Path, r.Graph, r.Mode, r.Layout, r.Ranks, r.Threads}
+		if _, dup := rows[k]; dup {
+			return nil, nil, fmt.Errorf("benchcheck: %s: duplicate row %s", path, k)
+		}
+		rows[k] = r
+		keys = append(keys, k)
+	}
+	return rows, keys, nil
+}
+
+// sameCell reports whether two optional cells hold the same value (or
+// are both absent).
+func sameCell[T comparable](a, b *T) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return *a == *b
+}
+
+// cellString renders an optional cell for a drift report.
+func cellString[T any](v *T) string {
+	if v == nil {
+		return "absent"
+	}
+	return fmt.Sprint(*v)
+}
+
+// CompareExchangeJSON checks a generated BENCH_exchange.json against a
+// committed one: rows match by (path, graph, ranks, mode, threads,
+// layout), every row must be present in both, and the deterministic
+// columns — exchElems, reductions, edgeCut, hcWaves, hcReductions,
+// normPiggyback and pipelineDepth — must be equal. Wall, sweep and
+// allocation columns depend on the host and are never compared. A
+// change that moves a deterministic column regenerates the committed
+// artifact in the same change.
+func CompareExchangeJSON(committedPath, generatedPath string) error {
+	want, keys, err := readExchangeRows(committedPath)
+	if err != nil {
+		return err
+	}
+	got, gotKeys, err := readExchangeRows(generatedPath)
+	if err != nil {
+		return err
+	}
+	var drift []string
+	for _, k := range keys {
+		w := want[k]
+		g, ok := got[k]
+		if !ok {
+			drift = append(drift, fmt.Sprintf("%s: row missing from %s", k, generatedPath))
+			continue
+		}
+		cell := func(name string, same bool, gv, wv string) {
+			if !same {
+				drift = append(drift, fmt.Sprintf("%s: %s %s, committed %s", k, name, gv, wv))
+			}
+		}
+		cell("exchElems", g.ExchElems == w.ExchElems, fmt.Sprint(g.ExchElems), fmt.Sprint(w.ExchElems))
+		cell("reductions", sameCell(g.Reductions, w.Reductions), cellString(g.Reductions), cellString(w.Reductions))
+		cell("edgeCut", sameCell(g.EdgeCut, w.EdgeCut), cellString(g.EdgeCut), cellString(w.EdgeCut))
+		cell("hcWaves", sameCell(g.HCWaves, w.HCWaves), cellString(g.HCWaves), cellString(w.HCWaves))
+		cell("hcReductions", sameCell(g.HCReductions, w.HCReductions), cellString(g.HCReductions), cellString(w.HCReductions))
+		cell("normPiggyback", sameCell(g.NormPiggyback, w.NormPiggyback), cellString(g.NormPiggyback), cellString(w.NormPiggyback))
+		cell("pipelineDepth", sameCell(g.PipelineDepth, w.PipelineDepth), cellString(g.PipelineDepth), cellString(w.PipelineDepth))
+	}
+	for _, k := range gotKeys {
+		if _, ok := want[k]; !ok {
+			drift = append(drift, fmt.Sprintf("%s: row absent from %s", k, committedPath))
+		}
+	}
+	if len(drift) > 0 {
+		return fmt.Errorf("benchcheck: %s drifts from %s:\n  %s", generatedPath, committedPath, strings.Join(drift, "\n  "))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,5 +145,66 @@ func TestWriteExchangeJSONPropagatesErrors(t *testing.T) {
 	cfg.JSONPath = filepath.Join(t.TempDir(), "missing", "out.json")
 	if err := writeExchangeJSON(cfg, []ExchangeRow{{Path: "spmv"}}); err == nil {
 		t.Error("expected error writing JSON under a missing directory")
+	}
+}
+
+// benchcheck -against must pass an artifact identical to the committed
+// one and fail on any drift in a deterministic column or in the row
+// set.
+func TestCompareExchangeJSON(t *testing.T) {
+	committed := filepath.Join("..", "..", "bench", "BENCH_exchange.json")
+	raw, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, mutate func(doc *exchangeDoc)) string {
+		t.Helper()
+		var doc exchangeDoc
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&doc)
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	identical := write("identical.json", func(*exchangeDoc) {})
+	if err := CompareExchangeJSON(committed, identical); err != nil {
+		t.Errorf("identical artifact: %v", err)
+	}
+	// Host-dependent columns never count as drift.
+	retimed := write("retimed.json", func(doc *exchangeDoc) {
+		for i := range doc.Rows {
+			doc.Rows[i].WallSeconds *= 3
+			doc.Rows[i].SweepSeconds = nil
+			doc.Rows[i].AllocsPerRound = nil
+		}
+	})
+	if err := CompareExchangeJSON(committed, retimed); err != nil {
+		t.Errorf("retimed artifact: %v", err)
+	}
+	mutated := write("mutated.json", func(doc *exchangeDoc) {
+		for i := range doc.Rows {
+			if doc.Rows[i].Reductions != nil {
+				doc.Rows[i].Reductions = ptr(*doc.Rows[i].Reductions + 1)
+				return
+			}
+		}
+		t.Fatal("no row carries reductions")
+	})
+	if err := CompareExchangeJSON(committed, mutated); err == nil || !strings.Contains(err.Error(), "reductions") {
+		t.Errorf("one mutated reductions cell: got %v, want a reductions drift", err)
+	}
+	missing := write("missing.json", func(doc *exchangeDoc) {
+		doc.Rows = doc.Rows[1:]
+	})
+	if err := CompareExchangeJSON(committed, missing); err == nil || !strings.Contains(err.Error(), "row missing") {
+		t.Errorf("one row missing: got %v, want a missing-row drift", err)
 	}
 }

@@ -248,52 +248,35 @@ func exchangePartition(w repro.World, cfg Config) ([]ExchangeRow, error) {
 const allocRounds = 64
 
 // measureValueRoundAllocs measures the heap allocations of one
-// full-boundary value round in the graph's configured mode, averaged
-// over allocRounds rounds after warmup, and reports the exchanger's
-// observed pipeline depth (0 in sync mode). It is a collective: every
-// rank runs the same rounds; rank 0 reads the process-wide allocation
+// full-boundary value round on the graph's exchanger, averaged over
+// allocRounds rounds after warmup, and reports the most rounds the
+// exchanger held in flight at once. It is a collective: every rank
+// runs the same rounds; rank 0 reads the process-wide allocation
 // counter between two barriers, so the result covers all ranks (the
-// async engine's rounds are expected to allocate zero in steady
+// delta engine's rounds are expected to allocate zero in steady
 // state).
 //
-// In async mode the rounds are software-pipelined the way the
-// overlapped BFS runs them: each call posts the next round with
-// BeginValues BEFORE flushing the oldest one, so the exchanger's full
-// configured depth of rounds is in flight throughout the measured
-// window and the reported depth is DeltaExchanger.Depth. Depth-1
-// rounds stay pending when the measurement ends; Graph.Close settles
-// them during teardown.
+// The rounds are software-pipelined the way the overlapped BFS runs
+// them, at the split-phase API the analytics use, tally included:
+// each call posts the next round with BeginValues and flushes the
+// oldest one only once the exchanger's full depth is in flight, so a
+// depth-k exchanger keeps k rounds in flight throughout the measured
+// window (the bulk engine's depth is 1). Depth-1 rounds stay pending
+// when the measurement ends; Graph.Close settles them during teardown.
 func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 	bv := dg.BoundaryVertices()
-	vals := make([]int64, dg.NTotal())
-	for i := range vals {
-		vals[i] = int64(i)
+	ex := dg.Exchanger()
+	payload := make([]int64, len(bv))
+	for i, v := range bv {
+		payload[i] = int64(v)
 	}
-	depth := func() int64 { return 0 }
-	round := func() { dg.ExchangeInt64(bv, vals) }
-	if dg.AsyncExchange() {
-		// Measure at the split-phase API the overlapped analytics use,
-		// tally frame included.
-		ex := dg.AsyncExchanger()
-		payload := make([]int64, len(bv))
-		tally := []int64{1}
-		pending := 0
-		// Reset the lifetime high-water mark (the analytics already
-		// drove it to 2) so the reported depth is what THIS measurement
-		// loop achieves — the benchcheck gate must fail if the
-		// pipelined schedule below regresses.
-		ex.MaxDepth = 0
-		depth = func() int64 { return int64(ex.MaxDepth) }
-		round = func() {
-			for i, v := range bv {
-				payload[i] = vals[v]
-			}
-			ex.BeginValues(bv, payload, tally)
-			pending++
-			if pending == ex.Depth() {
-				ex.FlushValues()
-				pending--
-			}
+	tally := &dgraph.Tally{Vals: []int64{1}}
+	var inFlight int64
+	round := func() {
+		ex.BeginValues(bv, payload, tally)
+		inFlight = max(inFlight, int64(ex.InFlight()))
+		if ex.InFlight() == ex.Depth() {
+			ex.FlushValues()
 		}
 	}
 	// Warmup must reach the transport's in-flight high-water mark (up
@@ -313,6 +296,7 @@ func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 		runtime.ReadMemStats(&m0)
 	}
 	c.Barrier()
+	inFlight = 0
 	for i := 0; i < allocRounds; i++ {
 		round()
 	}
@@ -321,7 +305,7 @@ func measureValueRoundAllocs(c *mpi.Comm, dg *dgraph.Graph) (float64, int64) {
 		runtime.ReadMemStats(&m1)
 	}
 	c.Barrier()
-	return float64(m1.Mallocs-m0.Mallocs) / allocRounds, depth()
+	return float64(m1.Mallocs-m0.Mallocs) / allocRounds, inFlight
 }
 
 // exchangeAnalytics measures the value-flow paths: total elements

@@ -23,7 +23,9 @@ var ArenaEscape = &Analyzer{
 
 // arenaSource maps a callee to the indices of its results that alias a
 // pooled buffer or decode arena.
-var arenaSources = map[callee][]int{
+// The exchangers' decode views — through the round interface or on
+// either engine — are added by withExchangerMethods.
+var arenaSources = withExchangerMethods(withExchangerMethods(map[callee][]int{
 	{mpiPath, "", "Recv64"}:    {0},
 	{mpiPath, "", "Recv64Tag"}: {0},
 
@@ -31,12 +33,7 @@ var arenaSources = map[callee][]int{
 	// called through the interface or on a concrete transport.
 	{mpiPath, "Transport", "Recv64"}:       {0},
 	{mpiPath, "SocketTransport", "Recv64"}: {0},
-
-	{dgraphPath, "DeltaExchanger", "Flush"}:       {0},
-	{dgraphPath, "DeltaExchanger", "FlushTally"}:  {0, 1},
-	{dgraphPath, "DeltaExchanger", "FlushValues"}: {0, 1},
-	{dgraphPath, "DeltaExchanger", "FlushPush"}:   {0, 1},
-}
+}, []int{0}, "Flush"), []int{0, 1}, "FlushTally", "FlushValues", "FlushCount", "FlushPush")
 
 func runArenaEscape(pass *Pass) {
 	// The engine's and the transports' own plumbing constructs and

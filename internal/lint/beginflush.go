@@ -7,8 +7,9 @@ import (
 	"strings"
 )
 
-// BeginFlush checks the split-phase pairing contract on
-// DeltaExchanger: every Begin* round a function opens must be closed
+// BeginFlush checks the split-phase pairing contract on the exchangers
+// (the dgraph round interface and both of its engines): every Begin*
+// round a function opens must be closed
 // by a matching Flush* (or the exchanger's Close) in the same
 // function, and — when the pipeline depth is set from a compile-time
 // constant in the same function — never more than that many rounds may
@@ -17,7 +18,7 @@ import (
 // in post() with no one to drain it.
 var BeginFlush = &Analyzer{
 	Name: "beginflush",
-	Doc:  "every Begin* on a DeltaExchanger needs a matching Flush*/Close, at most PipeDepth rounds outstanding",
+	Doc:  "every Begin* on an exchanger needs a matching Flush*/Close, at most PipeDepth rounds outstanding",
 	Run:  runBeginFlush,
 }
 
@@ -31,7 +32,7 @@ func isFlushName(name string) bool {
 	return strings.HasPrefix(name, "Flush") || name == "Close"
 }
 
-// exCall is one Begin*/Flush*-family call on a DeltaExchanger, in
+// exCall is one Begin*/Flush*-family call on an exchanger, in
 // source order.
 type exCall struct {
 	pos   token.Pos
@@ -62,7 +63,7 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		c, ok := calleeOf(pass.Info, call)
-		if ok && c.pkg == dgraphPath && c.recv == "DeltaExchanger" {
+		if ok && c.pkg == dgraphPath && isExchanger(c.recv) {
 			recv := recvString(call)
 			switch {
 			case isBeginName(c.name):
@@ -87,10 +88,8 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 		// pairing may complete elsewhere: disable Rule A for that
 		// receiver.
 		for _, a := range call.Args {
-			if t := pass.Info.TypeOf(a); t != nil {
-				if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-					escapes[exprString(a)] = true
-				}
+			if t := pass.Info.TypeOf(a); t != nil && isExchangerValue(t) {
+				escapes[exprString(a)] = true
 			}
 		}
 		return true
@@ -107,10 +106,8 @@ func checkBeginFlush(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		for _, r := range ret.Results {
-			if t := pass.Info.TypeOf(r); t != nil {
-				if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-					escapes[exprString(r)] = true
-				}
+			if t := pass.Info.TypeOf(r); t != nil && isExchangerValue(t) {
+				escapes[exprString(r)] = true
 			}
 		}
 		return true

@@ -35,9 +35,10 @@ var parWorkerFuncs = map[string]bool{
 }
 
 // collectiveFuncs is the set of collective entry points: package-level
-// mpi collectives, Comm.Barrier, and every DeltaExchanger/Graph method
-// that internally performs a round of symmetric communication.
-var collectiveFuncs = map[callee]bool{
+// mpi collectives, Comm.Barrier, and every exchanger (the round
+// interface and both engines) or Graph method that internally performs
+// a round of symmetric communication.
+var collectiveFuncs = withExchangerMethods(map[callee]bool{
 	{mpiPath, "", "Bcast"}:                true,
 	{mpiPath, "", "Allgatherv"}:           true,
 	{mpiPath, "", "Alltoallv"}:            true,
@@ -65,25 +66,17 @@ var collectiveFuncs = map[callee]bool{
 	{mpiPath, "SocketTransport", "AlltoallvI64"}:  true,
 	{mpiPath, "SocketTransport", "AlltoallvF64"}:  true,
 
-	{dgraphPath, "DeltaExchanger", "Begin"}:       true,
-	{dgraphPath, "DeltaExchanger", "BeginTally"}:  true,
-	{dgraphPath, "DeltaExchanger", "BeginValues"}: true,
-	{dgraphPath, "DeltaExchanger", "BeginPush"}:   true,
-	{dgraphPath, "DeltaExchanger", "Flush"}:       true,
-	{dgraphPath, "DeltaExchanger", "FlushTally"}:  true,
-	{dgraphPath, "DeltaExchanger", "FlushValues"}: true,
-	{dgraphPath, "DeltaExchanger", "FlushPush"}:   true,
-	{dgraphPath, "DeltaExchanger", "Close"}:       true,
-
+	// Exchanger, ExchangerFor and SetAsyncExchange may build the delta
+	// engine, whose construction is collective.
 	{dgraphPath, "Graph", "NewDeltaExchanger"}: true,
 	{dgraphPath, "Graph", "AsyncExchanger"}:    true,
+	{dgraphPath, "Graph", "Exchanger"}:         true,
+	{dgraphPath, "Graph", "ExchangerFor"}:      true,
+	{dgraphPath, "Graph", "SetAsyncExchange"}:  true,
 	{dgraphPath, "Graph", "Close"}:             true,
-	{dgraphPath, "Graph", "ExchangeInt64"}:     true,
-	{dgraphPath, "Graph", "ExchangeFloat64"}:   true,
-	{dgraphPath, "Graph", "ExchangeUpdates"}:   true,
-	{dgraphPath, "Graph", "PushToOwners"}:      true,
 	{dgraphPath, "Graph", "GatherGlobal"}:      true,
-}
+}, true, "Begin", "BeginTally", "BeginValues", "BeginPush",
+	"Flush", "FlushTally", "FlushValues", "FlushCount", "FlushPush", "Close")
 
 func runCollectiveSym(pass *Pass) {
 	// The simulator itself implements the collectives; inside it, calls

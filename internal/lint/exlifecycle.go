@@ -14,7 +14,7 @@ import (
 // goroutine and its posted rounds — the PR 4 lifecycle bug.
 var ExLifecycle = &Analyzer{
 	Name: "exlifecycle",
-	Doc:  "every constructed DeltaExchanger (and async-routed Graph) must reach Close() on all paths",
+	Doc:  "every constructed DeltaExchanger (and Graph vending an exchanger) must reach Close() on all paths",
 	Run:  runExLifecycle,
 }
 
@@ -78,12 +78,15 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 				switch {
 				case c.recv == "Graph" && c.name == "NewDeltaExchanger":
 					owned = append(owned, ownedValue{call, bindLHS(st, idx), "exchanger"})
-				case c.recv == "Graph" && c.name == "AsyncExchanger":
-					// The graph retains (and closes) the exchanger it
-					// vends; the *graph* must be closed instead. Treat
-					// like an async-mode use of the graph receiver.
+				case c.recv == "Graph" && (c.name == "AsyncExchanger" || c.name == "Exchanger" || c.name == "ExchangerFor"):
+					// The graph retains (and closes) the exchangers it
+					// vends — the delta engine among them; the *graph*
+					// must be closed instead. Treat like an async-mode
+					// use of the graph receiver.
 					if g := recvString(call); g != "" {
-						graphVars[g] = call
+						if _, seen := graphVars[g]; !seen {
+							graphVars[g] = call
+						}
 					}
 				case c.recv == "" && strings.HasPrefix(c.name, "FromEdge"):
 					// Graph construction. The graph only becomes a
@@ -106,7 +109,7 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 				switch c.name {
 				case "Close":
 					closed[recv] = true
-				case "SetAsyncExchange", "AsyncExchanger":
+				case "SetAsyncExchange", "AsyncExchanger", "Exchanger", "ExchangerFor":
 					if c.recv == "Graph" && recv != "" {
 						if _, seen := graphVars[recv]; !seen {
 							graphVars[recv] = st
@@ -120,28 +123,21 @@ func checkExLifecycle(pass *Pass, fd *ast.FuncDecl) {
 			// special is needed for detection. But passing the value
 			// itself to another function transfers ownership:
 			for _, a := range st.Args {
-				if t := info.TypeOf(a); t != nil {
-					if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-						escaped[exprString(a)] = true
-					}
+				if t := info.TypeOf(a); t != nil && isExchangerValue(t) {
+					escaped[exprString(a)] = true
 				}
 			}
 		case *ast.ReturnStmt:
 			for _, r := range st.Results {
 				if t := info.TypeOf(r); t != nil {
-					if named := namedOf(t); named != nil {
-						switch named.Obj().Name() {
-						case "DeltaExchanger", "Graph":
-							escaped[exprString(r)] = true
-						}
+					if named := namedOf(t); isExchangerValue(t) || (named != nil && named.Obj().Name() == "Graph") {
+						escaped[exprString(r)] = true
 					}
 				}
 			}
 		case *ast.SendStmt:
-			if t := info.TypeOf(st.Value); t != nil {
-				if named := namedOf(t); named != nil && named.Obj().Name() == "DeltaExchanger" {
-					escaped[exprString(st.Value)] = true
-				}
+			if t := info.TypeOf(st.Value); t != nil && isExchangerValue(t) {
+				escaped[exprString(st.Value)] = true
 			}
 		}
 		return true

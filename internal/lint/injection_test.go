@@ -148,15 +148,21 @@ func TestInjectLabelPropRankLocalCount(t *testing.T) {
 func TestInjectUnorderedParFloatSum(t *testing.T) {
 	runInjection(t, lint.FloatFold,
 		filepath.Join("..", "analytics"), "analytics.go",
-		"\t\t\tnormSrc = next\n"+
-			"\t\t\tnL, fpart = par.SumFloat64Ordered(0, g.NLocal, e.threads, fpart, normBody)\n",
-		"\t\t\tpar.ForChunk(0, g.NLocal, e.threads, func(lo, hi, tid int) {\n"+
-			"\t\t\t\tfor i := lo; i < hi; i++ {\n"+
-			"\t\t\t\t\tnL += next[i]\n"+
-			"\t\t\t\t}\n"+
-			"\t\t\t})\n",
-		"nL += next[i]",
-		"float accumulation into captured nL inside a par.ForChunk worker")
+		"\tnormL, _ := par.SumFloat64Ordered(0, g.NLocal, e.threads, nil, func(lo, hi int) float64 {\n"+
+			"\t\tvar s float64\n"+
+			"\t\tfor i := lo; i < hi; i++ {\n"+
+			"\t\t\ts += normSrc[i]\n"+
+			"\t\t}\n"+
+			"\t\treturn s\n"+
+			"\t})\n",
+		"\tvar normL float64\n"+
+			"\tpar.ForChunk(0, g.NLocal, e.threads, func(lo, hi, tid int) {\n"+
+			"\t\tfor i := lo; i < hi; i++ {\n"+
+			"\t\t\tnormL += normSrc[i]\n"+
+			"\t\t}\n"+
+			"\t})\n",
+		"normL += normSrc[i]",
+		"float accumulation into captured normL inside a par.ForChunk worker")
 }
 
 // TestInjectOnceBypass removes the PR 9 race fix from one accessor: a

@@ -9,10 +9,11 @@
 //     (the conditional-collective deadlock trap).
 //   - arenaescape: decode-arena- and Recv64-backed slices must not
 //     escape their aliasing window.
-//   - beginflush: every Begin* on a DeltaExchanger needs a matching
-//     Flush* (or Close), bounded by the pipeline depth.
-//   - exlifecycle: every constructed exchanger (and async-routed
-//     graph) must reach Close() on all paths.
+//   - beginflush: every Begin* on an exchanger (the dgraph round
+//     interface or either engine) needs a matching Flush* (or Close),
+//     bounded by the pipeline depth.
+//   - exlifecycle: every constructed exchanger (and every graph
+//     vending one) must reach Close() on all paths.
 //   - hotpathalloc: functions annotated //repro:hotpath must contain
 //     no heap-allocating constructs.
 //   - errcheck: a curated unchecked-error check for the artifact and

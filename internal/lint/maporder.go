@@ -47,16 +47,12 @@ var wireSinkFuncs = map[callee]bool{
 
 // collectivePayloadFuncs carry a payload slice whose element order is
 // observable by the receiving ranks.
-var collectivePayloadFuncs = map[callee]bool{
-	{mpiPath, "", "Alltoallv"}:                    true,
-	{mpiPath, "", "Allgatherv"}:                   true,
-	{mpiPath, "", "Bcast"}:                        true,
-	{mpiPath, "", "Allreduce"}:                    true,
-	{dgraphPath, "DeltaExchanger", "Begin"}:       true,
-	{dgraphPath, "DeltaExchanger", "BeginTally"}:  true,
-	{dgraphPath, "DeltaExchanger", "BeginValues"}: true,
-	{dgraphPath, "DeltaExchanger", "BeginPush"}:   true,
-}
+var collectivePayloadFuncs = withExchangerMethods(map[callee]bool{
+	{mpiPath, "", "Alltoallv"}:  true,
+	{mpiPath, "", "Allgatherv"}: true,
+	{mpiPath, "", "Bcast"}:      true,
+	{mpiPath, "", "Allreduce"}:  true,
+}, true, "Begin", "BeginTally", "BeginValues", "BeginPush", "FlushTally")
 
 // reportTypeName reports whether a named struct type is a results
 // container: per-run values every rank (and every run at fixed seeds)

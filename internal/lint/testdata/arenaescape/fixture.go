@@ -52,6 +52,16 @@ func flushEscape(ex *dgraph.DeltaExchanger, s *sink) {
 	_ = payloads
 }
 
+// bulkFlushEscape parks a bulk engine's decode view in a field: the
+// engine reuses its arenas on the next round just like the delta
+// engine.
+func bulkFlushEscape(ex *dgraph.BulkExchanger, s *sink) {
+	ex.BeginPush(nil, nil, nil)
+	lids, payloads, _ := ex.FlushPush()
+	s.lids = lids // want "stored into field"
+	_ = payloads
+}
+
 // useAfterRecycle reads a buffer Recycle64 already returned to the
 // pool.
 func useAfterRecycle(c *mpi.Comm) int64 {

@@ -11,6 +11,14 @@ func leakRound(ex *dgraph.DeltaExchanger) {
 	ex.BeginTally(0) // want "no matching Flush"
 }
 
+// leakInterfaceRound opens a round through the round interface — the
+// engine behind it is whichever the graph selected — and never settles
+// it.
+func leakInterfaceRound(g *dgraph.Graph, lids []int32, vals []int64) {
+	ex := g.Exchanger()
+	ex.BeginValues(lids, vals, nil) // want "no matching Flush"
+}
+
 // overfill posts more rounds than the pipeline depth configured right
 // here: post blocks with no drainer progress.
 func overfill(g *dgraph.Graph, lids []int32, vals []int64) {

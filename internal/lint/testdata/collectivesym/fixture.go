@@ -101,7 +101,7 @@ func parBodyCollective(c *mpi.Comm, g *dgraph.Graph, vals []int64, n int) {
 		mpi.AllreduceScalar(c, int64(i), mpi.Sum) // want "par.For worker body"
 	})
 	par.ForChunk(0, n, 2, func(lo, hi, tid int) {
-		g.ExchangeInt64(nil, vals) // want "par.ForChunk worker body"
+		g.Exchanger().BeginValues(nil, vals, nil) // want "par.ForChunk worker body"
 	})
 }
 
@@ -139,7 +139,9 @@ func parThenRound(g *dgraph.Graph, changed []int32, vals []int64, n int) {
 			vals[i]++
 		}
 	})
-	g.ExchangeInt64(changed, vals)
+	ex := g.Exchanger()
+	ex.BeginValues(changed, vals, nil)
+	ex.FlushValues()
 }
 
 // parOrderedFoldThenAllreduce: reductions fold locally on workers and

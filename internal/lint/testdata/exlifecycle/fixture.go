@@ -27,7 +27,9 @@ func asyncLeak(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
 		return
 	}
 	g.SetAsyncExchange(true) // want "never closed"
-	g.ExchangeInt64(nil, nil)
+	ex := g.Exchanger()
+	ex.BeginValues(nil, nil, nil)
+	ex.FlushValues()
 }
 
 // the shapes below close (or hand off) correctly and must produce no
@@ -54,7 +56,9 @@ func asyncClosed(c *mpi.Comm, chunk []graph.Edge, dist dgraph.Distribution) {
 	}
 	defer g.Close()
 	g.SetAsyncExchange(true)
-	g.ExchangeInt64(nil, nil)
+	ex := g.Exchanger()
+	ex.BeginValues(nil, nil, nil)
+	ex.FlushValues()
 }
 
 // handsOff transfers ownership by passing the exchanger on.
@@ -73,5 +77,7 @@ func drive(ex *dgraph.DeltaExchanger) {
 // it, not this helper.
 func paramGraph(g *dgraph.Graph) {
 	g.SetAsyncExchange(true)
-	g.ExchangeInt64(nil, nil)
+	ex := g.Exchanger()
+	ex.BeginValues(nil, nil, nil)
+	ex.FlushValues()
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -14,6 +15,33 @@ const (
 	wirePath   = "repro/internal/wire"
 	rngPath    = "repro/internal/rng"
 )
+
+// exchangerTypes are the dgraph round interface and its two engines.
+// A call through the interface and a call on either engine carry the
+// same round contract, so every per-method rule binds all three.
+var exchangerTypes = []string{"Exchanger", "DeltaExchanger", "BulkExchanger"}
+
+// isExchanger reports whether a named type is the round interface or
+// one of its engines.
+func isExchanger(name string) bool { return slices.Contains(exchangerTypes, name) }
+
+// isExchangerValue reports whether t is (a pointer to) an exchanger.
+func isExchangerValue(t types.Type) bool {
+	named := namedOf(t)
+	return named != nil && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == dgraphPath && isExchanger(named.Obj().Name())
+}
+
+// withExchangerMethods adds v under every exchanger type for each
+// method name to m, and returns m.
+func withExchangerMethods[V any](m map[callee]V, v V, methods ...string) map[callee]V {
+	for _, t := range exchangerTypes {
+		for _, name := range methods {
+			m[callee{dgraphPath, t, name}] = v
+		}
+	}
+	return m
+}
 
 // callee identifies a resolved call target: the defining package path,
 // the receiver's named-type name ("" for package-level functions), and
